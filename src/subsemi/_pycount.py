@@ -1,11 +1,10 @@
-"""Pure-Python counting kernels: closed-subset scan over bitmask constraints.
+"""Reference scan for the counting kernel: tests every subset of {0..n-1}.
 
 A constraint (pair_mask, result_mask) means: any subset containing all of
-pair_mask must also intersect result_mask. These are the hot loops; a
-compiled twin lives in _fastcount.pyx and is selected in subsemi.kernel.
+pair_mask must also intersect result_mask. This is the plain 2^n loop the
+bit-parallel kernel in subsemi.kernel is tested against; nothing else in the
+package calls it.
 """
-
-BACKEND = "python"
 
 
 def count_closed(n, constraints):

@@ -44,7 +44,8 @@ def cmd_count(args, cfg):
     structure, _ = _resolve_input(args)
     report = count_subuniverses_bruteforce(structure, cfg.k)
     cross = count_subuniverses_split(structure, 0, cfg.k)
-    assert cross.count == report.count
+    if cross.count != report.count:
+        raise AssertionError(f"counting algorithms disagree: {report.count} != {cross.count}")
     print(_dump(count_report_to_dict(report)))
     return 0
 
@@ -117,7 +118,7 @@ def cmd_enumerate(args, cfg):
 
 
 def cmd_rank(args, cfg):
-    report = verifier.rank(args.n, workers=cfg.workers)
+    report = verifier.rank(args.n, workers=cfg.workers, ceiling=cfg.ceiling_n)
     if cfg.output_format == "json":
         print(_dump(verifier.ranking_to_dict(report)))
     elif cfg.output_format == "csv":
@@ -153,7 +154,8 @@ def cmd_classify(args, cfg):
 
 
 def cmd_verify_theorem(args, cfg):
-    result = verifier.verify_theorem(args.n, workers=cfg.workers)
+    result = verifier.verify_theorem(args.n, workers=cfg.workers,
+                                     ceiling=cfg.ceiling_n)
     if cfg.output_format == "json":
         print(_dump(verifier.theorem_to_dict(result)))
     else:
@@ -165,13 +167,13 @@ def cmd_verify_theorem(args, cfg):
                 line += f"  [{c.notes}]"
             print(line)
             for code in c.extra_witnesses:
-                sl = _structure_by_code(args.n, code)
+                sl = _structure_by_code(args.n, code, cfg.ceiling_n)
                 print(f"    extra witness {code[:16]}... covers={list(sl.poset.covers)}")
     return 0 if result.all_passed else 1
 
 
-def _structure_by_code(n, code_hex):
-    for sl in enumerate_semilattices(n).structures:
+def _structure_by_code(n, code_hex, ceiling):
+    for sl in enumerate_semilattices(n, ceiling=ceiling).structures:
         if canonical_form(sl.poset).code.hex() == code_hex:
             return sl
     raise UnknownStructureError(code_hex)

@@ -1,8 +1,9 @@
 """Subuniverse counting for total join-semilattices and partial binary algebras.
 
-Two independent algorithms are provided: a full 2^n bitmask scan
-(count_subuniverses_bruteforce, backed by the kernel) and a recursive
-case split on a pivot element with memoization (count_subuniverses_split).
+Two independent algorithms are provided: a full 2^n closed-subset count
+(count_subuniverses_bruteforce, backed by the bit-parallel truth-table
+kernel in subsemi.kernel) and a recursive case split on a pivot element with
+memoization (count_subuniverses_split).
 Relative counts sigma_k are exact dyadic rationals throughout.
 """
 
@@ -67,7 +68,9 @@ class SubuniverseReport:
     subsets: tuple = None
 
     def __post_init__(self):
-        assert self.sigma * Fraction(2) ** (self.n - self.k) == self.count
+        if self.sigma * Fraction(2) ** (self.n - self.k) != self.count:
+            raise ValueError(f"sigma {self.sigma} does not match count {self.count} "
+                             f"at n={self.n}, k={self.k}")
 
 
 def _as_mask(n, subset):

@@ -1,38 +1,70 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Closed-subset counting kernel, bit-parallel over truth tables.
 
-Set SUBSEMI_PURE=1 to force the Python kernels (used by the benchmark and
-by tests that compare the two implementations).
+A constraint (pair_mask, result_mask) means: any subset containing all of
+pair_mask must also intersect result_mask. A subset s of {0..n-1} is read
+as the integer s, and a set of subsets as an integer whose bit s is set iff
+s belongs to it (Knuth, TAOCP 4A, section 7.1.3). The 2^n subsets are taken
+in blocks of 2^B, where the low B elements vary inside a block and the high
+elements are fixed by the block's index h. Inside a block, the subsets that
+contain element i form the periodic table var[i], so the subsets a
+constraint rejects are the AND of the var[i] over its low pair bits, AND NOT
+the var[k] over its low result bits, on the blocks whose h holds its high
+pair bits and misses its high result bits. One block is one Python integer
+of 2^B bits, so memory stays bounded whatever n is.
+
+_pycount is the plain scan this kernel is tested against.
 """
 
-import os
+from itertools import compress
 
-from subsemi import _pycount
+BLOCK_BITS = 16
 
-try:
-    from subsemi import _fastcount
-except ImportError:
-    _fastcount = None
-
-if os.environ.get("SUBSEMI_PURE") or _fastcount is None:
-    _impl = _pycount
-else:
-    _impl = _fastcount
+_BIT_OF_CHAR = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def backend():
-    return _impl.BACKEND
+def _blocks(n, constraints):
+    """Yield (first subset, closed table) for each block, in ascending order."""
+    b = min(n, BLOCK_BITS)
+    size = 1 << b
+    full = (1 << size) - 1
+    var = []
+    for i in range(b):
+        # bit s of var[i] is bit i of s: runs of 2^i zeros, then 2^i ones
+        table, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < size:
+            table |= table << width
+            width <<= 1
+        var.append(table)
+    groups = {}
+    for pm, rb in constraints:
+        bad = full
+        for i in range(b):
+            if pm >> i & 1:
+                bad &= var[i]
+            if rb >> i & 1:
+                bad &= ~var[i]
+        if bad:
+            key = (pm >> b, rb >> b)
+            groups[key] = groups.get(key, 0) | bad
+    groups = list(groups.items())
+    for h in range(1 << (n - b)):
+        bad = 0
+        for (pm_high, rb_high), table in groups:
+            if pm_high & h == pm_high and not rb_high & h:
+                bad |= table
+        yield h << b, full & ~bad
 
 
 def count_closed(n, constraints):
-    return _impl.count_closed(n, constraints)
+    """Number of subsets of {0..n-1} closed under every constraint."""
+    return sum(closed.bit_count() for _, closed in _blocks(n, constraints))
 
 
 def enumerate_closed(n, constraints):
-    return _impl.enumerate_closed(n, constraints)
-
-
-def available_backends():
-    out = {"python": _pycount}
-    if _fastcount is not None:
-        out["cython"] = _fastcount
+    """Ascending list of all closed subsets as bitmasks."""
+    out = []
+    for first, closed in _blocks(n, constraints):
+        # bin() lists bits from the top; reversed, character j is bit j
+        bits = bin(closed)[:1:-1].encode().translate(_BIT_OF_CHAR)
+        out.extend(compress(range(first, first + len(bits)), bits))
     return out

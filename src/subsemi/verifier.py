@@ -74,8 +74,8 @@ class ClaimCheck:
         return self.status == "verified"
 
 
-def _rank_data(n, workers=1):
-    run = enumerate_semilattices(n)
+def _rank_data(n, workers=1, ceiling=None):
+    run = enumerate_semilattices(n, ceiling=ceiling)
     ups = [s.poset.up for s in run.structures]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -134,9 +134,12 @@ def _check_claim(n, values, witnesses, claim, expected_rank, core_sigma, core_id
     )
 
 
-def rank(n, workers=1):
-    """Distinct subuniverse counts at size n, with witnesses and claim checks."""
-    values, witnesses = _rank_data(n, workers)
+def rank(n, workers=1, ceiling=None):
+    """Distinct subuniverse counts at size n, with witnesses and claim checks.
+
+    ceiling overrides the enumeration ceiling, as in enumerate_semilattices.
+    """
+    values, witnesses = _rank_data(n, workers, ceiling)
     checks = []
     shift = 0
     for claim, r, s, core in CLAIMS:
@@ -161,9 +164,9 @@ class TheoremVerification:
         )
 
 
-def verify_theorem(n, workers=1):
+def verify_theorem(n, workers=1, ceiling=None):
     """Check the three ranking claims at size n against the enumerated universe."""
-    report = rank(n, workers)
+    report = rank(n, workers, ceiling)
     top3 = []
     for i, exp in enumerate(TOP3_EXPECTED):
         want = exp * Fraction(2) ** (n - 5)

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,16 @@ def _broom_count(m):
     sets holding the pendant, which must hold the top too unless the pendant
     stands alone (2^(m-2) + 1)."""
     return 3 * 2 ** (m - 2) + 1
+
+
+def _run_optimized(source):
+    """Run Python source under -O, which strips assert statements, with the
+    package importable; returns the completed process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", "-c", source], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 def _half_value_class(n):
@@ -68,3 +82,9 @@ def broom_count():
 def half_value_class():
     """Builder of the witness class of 24.5 * 2^(n-5), as canonical code hex."""
     return _half_value_class
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """Runner of Python source in a subprocess under -O."""
+    return _run_optimized

@@ -21,6 +21,20 @@ def test_count_named(capsys):
     assert data["k"] == 5
 
 
+def test_count_fails_on_disagreement_under_O(run_optimized):
+    # a corrupted kernel must not print a count, even with asserts stripped
+    proc = run_optimized(
+        "import sys\n"
+        "from subsemi import kernel\n"
+        "from subsemi.cli import main\n"
+        "real = kernel.count_closed\n"
+        "kernel.count_closed = lambda n, cons: real(n, cons) + 1\n"
+        "sys.exit(main(['count', '--named', 'H5']))\n")
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "counting algorithms disagree: 26 != 25" in proc.stderr
+
+
 def test_sigma_K0(capsys):
     code, out, _ = run(capsys, "sigma", "--named", "K0", "--k", "5")
     assert code == 0
@@ -76,6 +90,20 @@ def test_rank_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["values"][:4] == [32, 28, 26, 25]
+
+
+def test_rank_and_verify_theorem_honour_ceiling_flag(capsys, monkeypatch):
+    monkeypatch.setenv("SUBUNIV_CEILING", "3")
+    code, _, err = run(capsys, "rank", "--n", "4")
+    assert code == 2 and "ceiling is 3" in err
+    code, out, _ = run(capsys, "rank", "--n", "4", "--ceiling", "9")
+    assert code == 0
+    assert out.splitlines()[0].split() == ["rank", "1:", "count=16", "witnesses=1"]
+    code, out, _ = run(capsys, "verify-theorem", "--n", "4", "--ceiling", "9", "--json")
+    assert code == 0 and json.loads(out)["all_passed"] is True
+    # the table output looks up the extra witnesses under the same ceiling
+    code, out, _ = run(capsys, "verify-theorem", "--n", "6", "--ceiling", "6")
+    assert code == 1 and "extra witness" in out
 
 
 def test_classify(capsys, tmp_path):

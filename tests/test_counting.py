@@ -40,6 +40,15 @@ def test_bruteforce_counts():
         assert count_subuniverses_bruteforce(chain(m)).count == 2 ** m
 
 
+def test_report_rejects_inconsistent_sigma_under_O(run_optimized):
+    proc = run_optimized(
+        "from fractions import Fraction\n"
+        "from subsemi.counting import SubuniverseReport\n"
+        "SubuniverseReport(count=25, sigma=Fraction(24), k=5, n=5)\n")
+    assert proc.returncode != 0
+    assert "ValueError: sigma 24 does not match count 25" in proc.stderr
+
+
 def test_bruteforce_size_limit():
     with pytest.raises(SizeLimitError):
         count_subuniverses_bruteforce(PartialBinaryAlgebra(26, []))

@@ -1,14 +1,21 @@
 import pytest
 
-from subsemi import _pycount
-from subsemi.kernel import available_backends, backend, count_closed, enumerate_closed
+from subsemi import _pycount, kernel
+from subsemi.catalog import build_named, catalog_ids, chain
+from subsemi.counting import count_subuniverses_split
+from subsemi.kernel import count_closed, enumerate_closed
+from subsemi.order import Poset, to_semilattice
 from subsemi.randomgen import random_partial_algebra, random_semilattice
 
-HAS_CYTHON = "cython" in available_backends()
+
+def _star(n):
+    """n-1 atoms under one top (index n-1)."""
+    return to_semilattice(Poset.from_covers(n, [(i, n - 1) for i in range(n - 1)]))
 
 
-def test_backend_reports_name():
-    assert backend() in ("python", "cython")
+def _assert_matches_scan(n, cons):
+    assert count_closed(n, cons) == _pycount.count_closed(n, cons)
+    assert enumerate_closed(n, cons) == _pycount.enumerate_closed(n, cons)
 
 
 def test_no_constraints_shortcut():
@@ -26,24 +33,55 @@ def test_enumeration_matches_count(rng):
         assert subs == sorted(subs)
 
 
-@pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernel not built")
-def test_backends_agree(rng):
-    fast = available_backends()["cython"]
-    for _ in range(60):
-        n = rng.randint(1, 10)
+def test_kernel_matches_scan(rng):
+    for _ in range(120):
+        n = rng.randint(1, 11)
         if rng.random() < 0.5:
             cons = random_partial_algebra(rng, n).closure_constraints()
         else:
             cons = random_semilattice(rng, n).closure_constraints()
-        assert fast.count_closed(n, cons) == _pycount.count_closed(n, cons)
-        assert fast.enumerate_closed(n, cons) == _pycount.enumerate_closed(n, cons)
+        _assert_matches_scan(n, cons)
 
 
-@pytest.mark.skipif(not HAS_CYTHON, reason="compiled kernel not built")
-def test_backends_agree_on_catalog():
-    from subsemi.catalog import build_named, catalog_ids
-    fast = available_backends()["cython"]
+def test_kernel_matches_scan_on_catalog():
     for id_ in catalog_ids():
         s = build_named(id_).structure
-        cons = s.closure_constraints()
-        assert fast.count_closed(s.n, cons) == _pycount.count_closed(s.n, cons)
+        _assert_matches_scan(s.n, s.closure_constraints())
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_kernel_matches_scan_in_narrow_blocks(rng, monkeypatch, width):
+    # narrow blocks put most elements in the high bits, so the grouping by
+    # high bits is exercised at sizes the scan checks quickly; the
+    # constraints are general ones, with any number of result bits
+    monkeypatch.setattr(kernel, "BLOCK_BITS", width)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        cons = [(rng.randrange(1 << n), rng.randrange(1 << n))
+                for _ in range(rng.randint(0, 2 * n))]
+        _assert_matches_scan(n, cons)
+
+
+@pytest.mark.parametrize("n", range(17, 22))
+def test_closed_forms_across_blocks(n, broom, broom_count):
+    assert kernel.BLOCK_BITS < n
+    assert count_closed(n, chain(n).closure_constraints()) == 2 ** n
+    assert count_closed(n, _star(n).closure_constraints()) == 2 ** (n - 1) + n
+    assert count_closed(n, broom(n).closure_constraints()) == broom_count(n)
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_enumeration_across_blocks(n, broom):
+    # broom(n): chain 0 < ... < n-2, pendant n-1 under the top n-2; a set
+    # holding the pendant is closed iff it holds the top or nothing else
+    pendant, top = 1 << (n - 1), 1 << (n - 2)
+    expected = [s for s in range(1 << n) if not s & pendant or s & top or s == pendant]
+    assert enumerate_closed(n, broom(n).closure_constraints()) == expected
+
+
+def test_kernel_matches_split_across_blocks(rng):
+    for n in range(17, 22):
+        for _ in range(2):
+            pa = random_partial_algebra(rng, n)
+            expected = count_subuniverses_split(pa, rng.randrange(n)).count
+            assert count_closed(n, pa.closure_constraints()) == expected
