@@ -23,7 +23,6 @@ from subsemi.jsonio import (
     structure_to_dict,
     structure_to_dot,
 )
-from subsemi.order import canonical_form
 
 
 def _dump(data):
@@ -106,10 +105,10 @@ def cmd_enumerate(args, cfg):
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for i, sl in enumerate(run.structures):
+        for i, (sl, code) in enumerate(zip(run.structures, run.codes)):
             fname = f"semilattice_{run.n}_{i:05d}.json"
             payload = structure_to_dict(sl)
-            payload["canonical_code"] = canonical_form(sl.poset).code.hex()
+            payload["canonical_code"] = code.hex()
             (outdir / fname).write_text(_dump(payload) + "\n")
             manifest["files"].append(fname)
         (outdir / "manifest.json").write_text(_dump(manifest) + "\n")
@@ -173,10 +172,11 @@ def cmd_verify_theorem(args, cfg):
 
 
 def _structure_by_code(n, code_hex, ceiling):
-    for sl in enumerate_semilattices(n, ceiling=ceiling).structures:
-        if canonical_form(sl.poset).code.hex() == code_hex:
-            return sl
-    raise UnknownStructureError(code_hex)
+    run = enumerate_semilattices(n, ceiling=ceiling)
+    try:
+        return run.structures[run.codes.index(bytes.fromhex(code_hex))]
+    except ValueError:
+        raise UnknownStructureError(code_hex) from None
 
 
 def cmd_verify_lemmas(args, cfg):
@@ -280,9 +280,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = from_env_and_args(args)
     try:
-        return args.fn(args, cfg)
+        return args.fn(args, from_env_and_args(args))
     except SubsemiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

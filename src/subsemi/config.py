@@ -3,7 +3,8 @@
 import os
 from dataclasses import dataclass, field
 
-from subsemi.enumeration import DEFAULT_CEILING
+from subsemi.enumeration import DEFAULT_CEILING, enumeration_ceiling
+from subsemi.errors import ConfigError
 
 
 def _machine_workers():
@@ -18,22 +19,23 @@ class Config:
     output_format: str = "table"   # table | json | csv
 
     def __post_init__(self):
-        assert self.ceiling_n >= 1 and self.k >= 1 and self.workers >= 1
+        for flag, value in (("--ceiling", self.ceiling_n), ("--k", self.k),
+                            ("--workers", self.workers)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
 def from_env_and_args(args):
     ceiling = getattr(args, "ceiling", None)
-    if ceiling is None:
-        env = os.environ.get("SUBUNIV_CEILING")
-        ceiling = int(env) if env else DEFAULT_CEILING
+    workers = getattr(args, "workers", None)
     fmt = "table"
     if getattr(args, "json", False):
         fmt = "json"
     elif getattr(args, "csv", False):
         fmt = "csv"
     return Config(
-        ceiling_n=ceiling,
-        k=getattr(args, "k", 5) or 5,
-        workers=getattr(args, "workers", None) or _machine_workers(),
+        ceiling_n=enumeration_ceiling() if ceiling is None else ceiling,
+        k=getattr(args, "k", 5),
+        workers=_machine_workers() if workers is None else workers,
         output_format=fmt,
     )

@@ -12,10 +12,11 @@ all labeled partial orders directly.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
-from subsemi.errors import SizeLimitError
+from subsemi.errors import ConfigError, SizeLimitError
 from subsemi.order import Poset, canonical_form, to_semilattice
 
 DEFAULT_CEILING = 9
@@ -23,8 +24,18 @@ BRUTE_ENUM_MAX_N = 5
 
 
 def enumeration_ceiling():
+    """The ceiling set by SUBUNIV_CEILING, or DEFAULT_CEILING when it is unset."""
     env = os.environ.get("SUBUNIV_CEILING")
-    return int(env) if env else DEFAULT_CEILING
+    if not env:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(env)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise ConfigError(
+            f"SUBUNIV_CEILING must be an integer of at least 1, got {env!r}")
+    return ceiling
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,7 @@ class EnumerationRun:
     n: int
     structures: tuple   # canonical representatives sorted by canonical code
     stats: dict         # candidates generated, duplicates rejected
+    codes: tuple        # canonical code of each structure, strictly ascending
 
 
 def _upclosed_extensions(parent_up):
@@ -91,33 +103,41 @@ def enumerate_semilattices(n, ceiling=None, workers=1):
     if n in _level_cache:
         return _level_cache[n]
     if n == 1:
-        run = EnumerationRun(1, (to_semilattice(Poset((1,))),),
-                             {"candidates": 1, "duplicates": 0})
+        one = Poset((1,))
+        run = EnumerationRun(1, (to_semilattice(one),),
+                             {"candidates": 1, "duplicates": 0},
+                             (canonical_form(one).code,))
         _level_cache[1] = run
         return run
     parents = enumerate_semilattices(n - 1, limit, workers).structures
     parent_ups = [s.poset.up for s in parents]
     seen = {}
     candidates = 0
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_expand_parent, parent_ups, chunksize=8))
-    else:
-        batches = [_expand_parent(p) for p in parent_ups]
-    for batch in batches:
-        for code, upsets in batch:
-            candidates += 1
-            if code not in seen:
-                seen[code] = upsets
-    structures = tuple(
-        to_semilattice(Poset(seen[code])) for code in sorted(seen)
-    )
-    run = EnumerationRun(
-        n, structures,
-        {"candidates": candidates, "duplicates": candidates - len(structures)},
-    )
+    # batches are consumed as they arrive: holding a whole level's batches
+    # at once raises the peak memory of a run
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        batches = (pool.map(_expand_parent, parent_ups, chunksize=8) if pool
+                   else map(_expand_parent, parent_ups))
+        for batch in batches:
+            for code, upsets in batch:
+                candidates += 1
+                if code not in seen:
+                    seen[code] = upsets
+    run = _sorted_run(n, seen, candidates)
     _level_cache[n] = run
     return run
+
+
+def _sorted_run(n, seen, candidates):
+    """The EnumerationRun of a level from its canonical code -> up-sets map."""
+    codes = tuple(sorted(seen))
+    structures = tuple(to_semilattice(Poset(seen[code])) for code in codes)
+    return EnumerationRun(
+        n, structures,
+        {"candidates": candidates, "duplicates": candidates - len(structures)},
+        codes,
+    )
 
 
 def bruteforce_semilattices(n):
@@ -171,8 +191,4 @@ def bruteforce_semilattices(n):
         cf = canonical_form(p)
         if cf.code not in seen:
             seen[cf.code] = p.relabel(cf.perm).up
-    structures = tuple(to_semilattice(Poset(seen[code])) for code in sorted(seen))
-    return EnumerationRun(
-        n, structures,
-        {"candidates": candidates, "duplicates": candidates - len(structures)},
-    )
+    return _sorted_run(n, seen, candidates)

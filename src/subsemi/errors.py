@@ -30,6 +30,10 @@ class SizeLimitError(SubsemiError, ValueError):
     """Requested size exceeds the documented limit of an operation."""
 
 
+class ConfigError(SubsemiError, ValueError):
+    """A flag or environment variable holds a value out of its range."""
+
+
 class UnknownStructureError(SubsemiError, KeyError):
     """Catalog id not recognised."""
 

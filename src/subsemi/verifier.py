@@ -10,7 +10,6 @@ property-tests the bound, monotonicity, and chain-invariance lemmas.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from subsemi.counting import (
     sigma_trace_bound,
 )
 from subsemi.enumeration import enumerate_semilattices
-from subsemi.order import Poset, canonical_form, to_semilattice
 from subsemi.randomgen import random_semilattice
 
 CLAIMS = (
@@ -35,13 +33,13 @@ CLAIMS = (
 TOP3_EXPECTED = (Fraction(32), Fraction(28), Fraction(26))
 
 
-def _count_one(up):
-    """Cross-checked subuniverse count of one structure given by up-set masks."""
-    sl = to_semilattice(Poset(up))
+def _count_one(sl):
+    """Cross-checked subuniverse count of one semilattice."""
     brute = count_subuniverses_bruteforce(sl).count
     split = count_subuniverses_split(sl, 0).count
     if brute != split:
-        raise AssertionError(f"counting algorithms disagree on {up}: {brute} != {split}")
+        raise AssertionError(
+            f"counting algorithms disagree on {sl.poset.up}: {brute} != {split}")
     return brute
 
 
@@ -75,16 +73,10 @@ class ClaimCheck:
 
 
 def _rank_data(n, workers=1, ceiling=None):
-    run = enumerate_semilattices(n, ceiling=ceiling)
-    ups = [s.poset.up for s in run.structures]
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(_count_one, ups, chunksize=16))
-    else:
-        counts = [_count_one(u) for u in ups]
+    run = enumerate_semilattices(n, ceiling=ceiling, workers=workers)
     by_value = {}
-    for sl, c in zip(run.structures, counts):
-        by_value.setdefault(c, []).append(canonical_form(sl.poset).code)
+    for sl, code in zip(run.structures, run.codes):
+        by_value.setdefault(_count_one(sl), []).append(code)
     values = tuple(sorted(by_value, reverse=True))
     witnesses = {v: tuple(sorted(c.hex() for c in by_value[v])) for v in values}
     return values, witnesses

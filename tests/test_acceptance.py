@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from subsemi import analysis, enumeration, verifier
+from subsemi import analysis, verifier
 from subsemi.analysis import family_members
 from subsemi.catalog import build_named, chain, reconstruct_figure_structures
 from subsemi.counting import (
@@ -189,17 +189,10 @@ def test_criterion_4_claims(rankings, broom, broom_count, half_value_class,
     _report(f"4 (ranking at n={n}, claim {claim})", not wrong, detail)
 
 
-def test_criterion_4_runtime_n8():
-    # time a cold run: other tests leave the enumerated levels cached
-    saved = dict(enumeration._level_cache)
-    try:
-        enumeration._level_cache.clear()
-        t0 = time.monotonic()
-        verifier.verify_theorem(8)
-        elapsed = time.monotonic() - t0
-    finally:
-        enumeration._level_cache.clear()
-        enumeration._level_cache.update(saved)
+def test_criterion_4_runtime_n8(cold_levels):
+    t0 = time.monotonic()
+    verifier.verify_theorem(8)
+    elapsed = time.monotonic() - t0
     _report("4 (runtime at n=8)", elapsed < 120.0, f"{elapsed:.1f}s")
 
 
@@ -254,15 +247,20 @@ def test_criterion_8_chain_law():
     _report("8 (chain law)", not bad, "2^m for m = 1..15")
 
 
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(cold_levels):
+    # each worker count generates the universe afresh: a cached level would
+    # let a workers=2 call finish without starting its pool
     a1 = json.dumps(verifier.ranking_to_dict(verifier.rank(6, workers=1)),
                     sort_keys=True)
+    cold_levels()
     a2 = json.dumps(verifier.ranking_to_dict(verifier.rank(6, workers=2)),
                     sort_keys=True)
     b1 = json.dumps(verifier.lemmas_to_dict(verifier.verify_lemmas()), sort_keys=True)
     b2 = json.dumps(verifier.lemmas_to_dict(verifier.verify_lemmas()), sort_keys=True)
+    cold_levels()
     t1 = json.dumps(verifier.theorem_to_dict(verifier.verify_theorem(6, workers=2)),
                     sort_keys=True)
+    cold_levels()
     t2 = json.dumps(verifier.theorem_to_dict(verifier.verify_theorem(6, workers=1)),
                     sort_keys=True)
     ok = a1 == a2 and b1 == b2 and t1 == t2

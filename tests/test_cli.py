@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from subsemi.cli import main
+from subsemi.jsonio import structure_from_dict
+from subsemi.order import canonical_form
 
 H5_DOC = {"labels": ["a", "b", "c", "d", "1"],
           "covers": [["a", "b"], ["b", "c"], ["c", "1"], ["d", "1"]]}
@@ -81,8 +85,10 @@ def test_enumerate_writes_files(capsys, tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["count"] == 5
     assert len(manifest["files"]) == 5
-    first = json.loads((out_dir / manifest["files"][0]).read_text())
-    assert "covers" in first and "canonical_code" in first
+    for fname in manifest["files"]:
+        doc = json.loads((out_dir / fname).read_text())
+        structure, _ = structure_from_dict(doc)
+        assert doc["canonical_code"] == canonical_form(structure).code.hex()
 
 
 def test_rank_json(capsys):
@@ -104,6 +110,41 @@ def test_rank_and_verify_theorem_honour_ceiling_flag(capsys, monkeypatch):
     # the table output looks up the extra witnesses under the same ceiling
     code, out, _ = run(capsys, "verify-theorem", "--n", "6", "--ceiling", "6")
     assert code == 1 and "extra witness" in out
+
+
+BAD_SETTINGS = [
+    ({}, ["sigma", "--named", "H5", "--k", "0"], "--k must be at least 1, got 0"),
+    ({}, ["sigma", "--named", "H5", "--k", "-2"], "--k must be at least 1, got -2"),
+    ({}, ["enumerate", "--n", "3", "--ceiling", "0"],
+     "--ceiling must be at least 1, got 0"),
+    ({}, ["enumerate", "--n", "3", "--workers", "0"],
+     "--workers must be at least 1, got 0"),
+    ({}, ["rank", "--n", "3", "--workers", "-1"], "--workers must be at least 1, got -1"),
+    ({"SUBUNIV_CEILING": "abc"}, ["enumerate", "--n", "3"],
+     "SUBUNIV_CEILING must be an integer of at least 1, got 'abc'"),
+    ({"SUBUNIV_CEILING": "0"}, ["enumerate", "--n", "3"],
+     "SUBUNIV_CEILING must be an integer of at least 1, got '0'"),
+]
+
+
+@pytest.mark.parametrize("env, argv, message", BAD_SETTINGS)
+def test_bad_setting_exits_2(capsys, monkeypatch, env, argv, message):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_bad_setting_exits_2_under_O(run_optimized):
+    # the range checks are raises, not asserts that -O strips
+    _, argv, message = BAD_SETTINGS[2]
+    proc = run_optimized(
+        f"import sys\nfrom subsemi.cli import main\nsys.exit(main({argv!r}))\n")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_classify(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from subsemi import enumeration
@@ -95,19 +97,31 @@ def test_ceiling_enforced(monkeypatch):
     assert len(enumerate_semilattices(4, ceiling=9).structures) == 5
 
 
-def test_worker_determinism():
-    baseline = codes(enumerate_semilattices(6))
-    saved = dict(enumeration._level_cache)
-    try:
-        enumeration._level_cache.clear()
-        parallel = codes(enumerate_semilattices(6, workers=2))
-    finally:
-        enumeration._level_cache.clear()
-        enumeration._level_cache.update(saved)
-    assert parallel == baseline
+def test_worker_determinism(cold_levels, monkeypatch):
+    pools = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    parallel = enumerate_semilattices(6, workers=2)
+    assert len(pools) == 5   # one per generated level, 2..6
+    cold_levels()
+    serial = enumerate_semilattices(6)
+    assert len(pools) == 5
+    assert parallel.codes == serial.codes
+    assert parallel.stats == serial.stats
+    assert [s.poset.up for s in parallel.structures] == \
+        [s.poset.up for s in serial.structures]
 
 
 def test_output_order_is_sorted():
-    run = enumerate_semilattices(5)
-    cs = [canonical_form(sl.poset).code for sl in run.structures]
-    assert cs == sorted(cs)
+    runs = [enumerate_semilattices(n) for n in range(1, 7)]
+    runs += [bruteforce_semilattices(n) for n in range(1, 6)]
+    for run in runs:
+        assert len(run.codes) == len(run.structures)
+        assert all(a < b for a, b in zip(run.codes, run.codes[1:]))
+        for sl, code in zip(run.structures, run.codes):
+            assert code == canonical_form(sl.poset).code
