@@ -2,16 +2,17 @@
 
 A family member is C_c0 stacked under core glued under C_c1; c1 = 1 is the
 degenerate glue (the singleton chain), so the core itself is the (0, 1)
-member. Membership is decided constructively: build every chain split of
-the right size and test isomorphism. A negative answer is therefore a
-proof of non-membership at this size.
+member. Membership is decided by canonical code: every chain split of the
+right size is built once per (core, n), and a structure belongs to the
+family exactly when its canonical code is one of theirs. A negative answer
+is therefore a proof of non-membership at this size.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from subsemi.catalog import build_named, chain, chain_poset, glued_sum, ordinal_sum
-from subsemi.order import are_isomorphic, canonical_form, to_semilattice
+from subsemi.order import canonical_form, to_semilattice
 
 FAMILY_CORES = ("H5", "H3_B4", "K3")
 
@@ -50,22 +51,26 @@ def _core_of(core):
 def build_family_member(core, c0_len, c1_len):
     """Construct C_c0 +ord core (glued) C_c1."""
     _, core_sl = _core_of(core)
-    assert c0_len >= 0 and c1_len >= 1
+    if c0_len < 0 or c1_len < 1:
+        raise ValueError(
+            f"chain lengths need c0 >= 0 and c1 >= 1, got ({c0_len}, {c1_len})")
     glued = glued_sum(core_sl, chain(c1_len))
     if c0_len == 0:
         return glued
     return to_semilattice(ordinal_sum(chain_poset(c0_len), glued.poset))
 
 
+@lru_cache(maxsize=None)
 def family_members(core, n):
-    """All n-element family members, as canonical code -> (c0_len, c1_len)."""
+    """All n-element family members, as canonical code -> (c0_len, c1_len).
+
+    Cached per (core, n) and shared by every caller: do not mutate the result.
+    """
     _, core_sl = _core_of(core)
     out = {}
     spare = n - core_sl.n + 1
     for c0 in range(0, spare):
         c1 = spare - c0
-        if c1 < 1:
-            continue
         member = build_family_member(core_sl, c0, c1)
         code = canonical_form(member.poset).code
         out.setdefault(code, (c0, c1))
@@ -73,25 +78,14 @@ def family_members(core, n):
 
 
 def matches_family(sl, core):
-    """Exhaustive chain-split isomorphism test against one core family."""
-    core_id, core_sl = _core_of(core)
-    n = sl.n
-    spare = n - core_sl.n + 1
-    for c0 in range(0, spare):
-        c1 = spare - c0
-        if c1 < 1:
-            continue
-        candidate = build_family_member(core_sl, c0, c1)
-        if are_isomorphic(sl, candidate):
-            return FamilyMatch(core_id, c0, c1, True)
-    return FamilyMatch(core_id, -1, -1, False)
-
-
-@lru_cache(maxsize=None)
-def _family_codes_cached(core_id, n):
-    return frozenset(family_members(core_id, n))
+    """Whether sl is an n-element member of one core family, and its chain split."""
+    core_id, _ = _core_of(core)
+    split = family_members(core, sl.n).get(canonical_form(sl).code)
+    if split is None:
+        return FamilyMatch(core_id, -1, -1, False)
+    return FamilyMatch(core_id, *split, True)
 
 
 def family_codes(core_id, n):
     """Canonical codes of every n-element member of a named core family."""
-    return _family_codes_cached(core_id, n)
+    return frozenset(family_members(core_id, n))

@@ -106,7 +106,8 @@ def case_partial_algebra(names, edges, named_joins):
     joins = {}
     for p, q, w in named:
         key = frozenset((p, q))
-        assert joins.get(key, w) == w, "pair named twice with different values"
+        if joins.get(key, w) != w:
+            raise ValueError("pair named twice with different values")
         joins[key] = w
     for p, q, w in named:
         if up[w] != 1 << w:
@@ -118,7 +119,8 @@ def case_partial_algebra(names, edges, named_joins):
                 if u == v or lt(u, v) or lt(v, u):
                     continue
                 key = frozenset((u, v))
-                assert joins.get(key, w) == w, "conflicting inherited join"
+                if joins.get(key, w) != w:
+                    raise ValueError("conflicting inherited join")
                 joins[key] = w
     triples = []
     for key, w in joins.items():
@@ -299,7 +301,8 @@ def reconstruct_figure_structures():
     Each target is pinned by its pivot decomposition: the subuniverses
     avoiding the pivot must number exactly the previous structure's count
     and deleting the pivot must leave that structure, with the
-    containing-side parts (2, meets) as required. All matches are kept;
+    containing-side parts (2, meets) as required. All matches are kept, in
+    ascending canonical-code order and each with its first matching pivot;
     uniqueness up to isomorphism is reported either way.
     """
     from subsemi.counting import count_subuniverses_bruteforce
@@ -308,9 +311,10 @@ def reconstruct_figure_structures():
     results = {}
     base_codes = {"B4": {canonical_form(build_named("B4").structure.poset).code}}
     for target, (n, total, base, base_total, meets) in _FIGURE_TARGETS.items():
+        run = enumerate_semilattices(n)
         matches = []
         codes = set()
-        for sl in enumerate_semilattices(n).structures:
+        for sl, code in zip(run.structures, run.codes):
             if count_subuniverses_bruteforce(sl).count != total:
                 continue
             for v in range(n):
@@ -325,22 +329,19 @@ def reconstruct_figure_structures():
                 if (parts.avoiding, parts.containing_disjoint,
                         parts.containing_meeting) != (base_total, 2, meets):
                     continue
-                code = canonical_form(sl.poset).code
-                if code in codes:
-                    continue
                 codes.add(code)
-                matches.append((code, ReconstructionMatch(
+                matches.append(ReconstructionMatch(
                     structure=sl, pivot=v,
                     parts=(parts.avoiding, parts.containing_disjoint,
-                           parts.containing_meeting))))
+                           parts.containing_meeting)))
+                break
         if not matches:
             raise NoMatchError(
                 f"no {n}-element join-semilattice satisfies the {target} decomposition")
-        matches.sort(key=lambda t: t[0])
         results[target] = ReconstructionResult(
             target=target,
-            matches=tuple(m for _, m in matches),
+            matches=tuple(matches),
             unique=len(matches) == 1,
         )
-        base_codes[target] = {c for c, _ in matches}
+        base_codes[target] = codes
     return results

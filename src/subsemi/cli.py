@@ -13,7 +13,11 @@ from pathlib import Path
 
 from subsemi import analysis, catalog, verifier
 from subsemi.config import from_env_and_args
-from subsemi.counting import count_subuniverses_bruteforce, count_subuniverses_split
+from subsemi.counting import (
+    DEFAULT_K,
+    count_subuniverses_bruteforce,
+    count_subuniverses_split,
+)
 from subsemi.enumeration import enumerate_semilattices
 from subsemi.errors import SubsemiError, UnknownStructureError
 from subsemi.jsonio import (
@@ -228,7 +232,7 @@ def build_parser():
     def structure_args(p):
         p.add_argument("--named", help="catalog id (see `subsemi catalog`)")
         p.add_argument("--input", help="structure JSON file")
-        p.add_argument("--k", type=int, default=5, help="sigma reference size")
+        p.add_argument("--k", type=int, default=DEFAULT_K, help="sigma reference size")
         p.add_argument("--json", action="store_true")
 
     p = add("count", cmd_count, help="count subuniverses")

@@ -1,9 +1,10 @@
 """Runtime configuration shared by the CLI."""
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from subsemi.enumeration import DEFAULT_CEILING, enumeration_ceiling
+from subsemi.counting import DEFAULT_K
+from subsemi.enumeration import enumeration_ceiling
 from subsemi.errors import ConfigError
 
 
@@ -13,10 +14,10 @@ def _machine_workers():
 
 @dataclass
 class Config:
-    ceiling_n: int = DEFAULT_CEILING
-    k: int = 5
-    workers: int = field(default_factory=_machine_workers)
-    output_format: str = "table"   # table | json | csv
+    ceiling_n: int
+    k: int
+    workers: int
+    output_format: str   # table | json | csv
 
     def __post_init__(self):
         for flag, value in (("--ceiling", self.ceiling_n), ("--k", self.k),
@@ -35,7 +36,7 @@ def from_env_and_args(args):
         fmt = "csv"
     return Config(
         ceiling_n=enumeration_ceiling() if ceiling is None else ceiling,
-        k=getattr(args, "k", 5),
+        k=getattr(args, "k", DEFAULT_K),
         workers=_machine_workers() if workers is None else workers,
         output_format=fmt,
     )

@@ -86,7 +86,7 @@ def _expand_parent(parent_up):
     for u in _upclosed_extensions(parent_up):
         child = Poset(parent_up + (u | (1 << pn),))
         cf = canonical_form(child)
-        found.append((cf.code, child.relabel(cf.perm).up))
+        found.append((cf.code, cf.up))
     return found
 
 
@@ -187,8 +187,7 @@ def bruteforce_semilattices(n):
         if not ok:
             continue
         candidates += 1
-        p = Poset(tuple(up))
-        cf = canonical_form(p)
+        cf = canonical_form(Poset(tuple(up)))
         if cf.code not in seen:
-            seen[cf.code] = p.relabel(cf.perm).up
+            seen[cf.code] = cf.up
     return _sorted_run(n, seen, candidates)

@@ -27,10 +27,6 @@ class Poset:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_le_matrix(cls, le):
-        return validate_poset(le)
-
-    @classmethod
     def from_covers(cls, n, covers):
         """Build from Hasse edges (lower, upper); order is the transitive closure."""
         up = [1 << i for i in range(n)]
@@ -53,9 +49,6 @@ class Poset:
 
     def le(self, i, j):
         return bool(self.up[i] >> j & 1)
-
-    def incomparable(self, i, j):
-        return i != j and not self.le(i, j) and not self.le(j, i)
 
     @cached_property
     def down(self):
@@ -83,9 +76,6 @@ class Poset:
                 if not between:
                     out.append((i, j))
         return tuple(sorted(out))
-
-    def maximal_elements(self):
-        return [i for i in range(self.n) if self.up[i] == 1 << i]
 
     def minimal_elements(self):
         return [i for i in range(self.n) if self.down[i] == 1 << i]
@@ -199,7 +189,8 @@ class JoinSemilattice:
 
     def induced(self, mask):
         """Sub-semilattice on a join-closed subset, reindexed densely."""
-        assert self.is_closed(mask) and mask, "subset must be nonempty and join-closed"
+        if not mask or not self.is_closed(mask):
+            raise ValueError("subset must be nonempty and join-closed")
         keep = [i for i in range(self.n) if mask >> i & 1]
         pos = {e: i for i, e in enumerate(keep)}
         up = []
@@ -217,9 +208,6 @@ class JoinSemilattice:
         if not self.is_closed(rest):
             return None
         return self.induced(rest)
-
-    def relabel(self, perm):
-        return to_semilattice(self.poset.relabel(perm))
 
     def __repr__(self):
         return f"JoinSemilattice(n={self.n}, covers={list(self.poset.covers)})"
@@ -245,9 +233,9 @@ def to_semilattice(p):
                 raise JoinMissingError(i, j)
             row.append(least)
         join.append(tuple(row))
-    tops = [i for i in range(n) if p.up[i] == 1 << i]
-    assert len(tops) == 1, "a join-semilattice has a unique maximum"
-    return JoinSemilattice(p, tuple(join), tops[0])
+    # with every pair joined, the join of all elements is the one maximal element
+    top = next(i for i in range(n) if p.up[i] == 1 << i)
+    return JoinSemilattice(p, tuple(join), top)
 
 
 UNDEFINED = None
@@ -275,10 +263,12 @@ class CanonicalForm:
 
     code: n as one byte, then the permuted le matrix packed row-major.
     perm: perm[new_index] = original element achieving the code.
+    up: up-sets of the relabeled poset that code encodes.
     """
 
     code: bytes
     perm: tuple
+    up: tuple
 
 
 def _refined_invariants(p):
@@ -391,7 +381,7 @@ def canonical_form(p, max_n=CANON_MAX_N):
 
     rec(0, True)
     canon = p.relabel(best_perm)
-    return CanonicalForm(code=_pack_code(canon), perm=best_perm)
+    return CanonicalForm(code=_pack_code(canon), perm=best_perm, up=canon.up)
 
 
 def are_isomorphic(a, b, max_n=CANON_MAX_N):

@@ -1,6 +1,9 @@
+from subsemi import analysis
 from subsemi.analysis import (
+    FAMILY_CORES,
     build_family_member,
     family_codes,
+    family_members,
     matches_family,
     narrows,
     verify_narrows_free,
@@ -102,3 +105,54 @@ def test_matched_member_is_isomorphic_to_reconstruction(all_structures):
         if m.matched:
             assert are_isomorphic(sl, build_family_member(h5, m.c0_len, m.c1_len))
             assert canonical_form(sl.poset).code in family_codes("H5", 6)
+
+
+def _pairwise_match(sl, core_id):
+    """Oracle: the first chain split whose member is isomorphic to sl."""
+    core = build_named(core_id).structure
+    spare = sl.n - core.n + 1
+    for c0 in range(spare):
+        c1 = spare - c0
+        if are_isomorphic(sl, build_family_member(core, c0, c1)):
+            return True, c0, c1
+    return False, -1, -1
+
+
+def test_matches_family_agrees_with_pairwise_oracle(all_structures):
+    for structures in all_structures.values():
+        for sl in structures:
+            for core_id in FAMILY_CORES:
+                m = matches_family(sl, core_id)
+                assert (m.matched, m.c0_len, m.c1_len) == _pairwise_match(sl, core_id)
+
+
+def test_family_built_once_per_core_and_size(monkeypatch, all_structures):
+    calls = []
+    real = analysis.build_family_member
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "build_family_member", counting)
+    family_members.cache_clear()
+    for sl in all_structures[6]:
+        matches_family(sl, "K3")
+    family_codes("K3", 6)
+    # K3 has 4 elements, so n = 6 has the 3 chain splits (0, 3), (1, 2), (2, 1)
+    assert len(calls) == 3
+
+
+def test_build_family_member_rejects_bad_lengths_under_O(run_optimized):
+    proc = run_optimized(
+        "from subsemi.analysis import build_family_member\n"
+        "for c0, c1 in ((-1, 1), (0, 0)):\n"
+        "    try:\n"
+        "        build_family_member('H5', c0, c1)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "chain lengths need c0 >= 0 and c1 >= 1, got (-1, 1)",
+        "chain lengths need c0 >= 0 and c1 >= 1, got (0, 0)",
+    ]

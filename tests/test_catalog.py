@@ -18,7 +18,7 @@ from subsemi.errors import (
     NoUniqueBottomError,
     UnknownStructureError,
 )
-from subsemi.order import Poset, are_isomorphic, to_semilattice
+from subsemi.order import Poset, are_isomorphic, canonical_form, to_semilattice
 
 
 def test_chain_examples():
@@ -163,7 +163,7 @@ def test_inherited_join_rule_only_from_maximal_value():
 
 def test_case_builder_rejects_conflicts():
     # same inherited pair forced to two different values is a hard error
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="pair named twice with different values"):
         case_partial_algebra(
             "abxy", ["ya", "yb"],
             [("a", "b", "x"), ("a", "b", "y")],
@@ -186,6 +186,13 @@ def test_reconstruction_targets():
     assert not k.unique and len(k.matches) == 2
     assert not n.unique and len(n.matches) == 2
     assert k0.unique and len(k0.matches) == 1
+
+
+def test_reconstruction_matches_in_code_order():
+    # one match per structure, in the generator's ascending code order
+    for result in reconstruct_figure_structures().values():
+        codes = [canonical_form(m.structure).code for m in result.matches]
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_reconstructed_sigma_values():

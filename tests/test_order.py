@@ -132,6 +132,9 @@ def test_canonical_idempotent(all_structures):
         again = canonical_form(sl.poset.relabel(cf.perm))
         assert again.code == cf.code
         assert again.perm == tuple(range(sl.n))
+        # up is the relabeled poset that code encodes, itself in canonical form
+        assert cf.up == sl.poset.relabel(cf.perm).up
+        assert canonical_form(Poset(cf.up)).code == cf.code
 
 
 def test_canonical_distinguishes():
@@ -198,3 +201,14 @@ def test_canonical_codes_match_bruteforce_isomorphism(all_structures):
             b = a.relabel(perm)
         expected = _isomorphic_bruteforce(a, b)
         assert are_isomorphic(a, b) == expected
+
+
+def test_induced_rejects_unclosed_mask_under_O(run_optimized):
+    # 0 < a, b < x < 1: {0, a, b, 1} misses a v b = x, so it is no subuniverse
+    proc = run_optimized(
+        "from subsemi.order import Poset, to_semilattice\n"
+        "sl = to_semilattice(Poset.from_covers(\n"
+        "    5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]))\n"
+        "sl.induced(0b10111)\n")
+    assert proc.returncode != 0
+    assert "ValueError: subset must be nonempty and join-closed" in proc.stderr
