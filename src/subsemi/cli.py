@@ -7,19 +7,19 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or input error
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from subsemi import analysis, catalog, verifier
-from subsemi.config import from_env_and_args
 from subsemi.counting import (
     DEFAULT_K,
     count_subuniverses_bruteforce,
-    count_subuniverses_split,
+    count_subuniverses_checked,
 )
 from subsemi.enumeration import enumerate_semilattices
-from subsemi.errors import SubsemiError, UnknownStructureError
+from subsemi.errors import ConfigError, SizeLimitError, SubsemiError, UnknownStructureError
 from subsemi.jsonio import (
     FormatError,
     count_report_to_dict,
@@ -27,6 +27,44 @@ from subsemi.jsonio import (
     structure_to_dict,
     structure_to_dot,
 )
+
+
+DEFAULT_CEILING = 9
+
+
+def enumeration_ceiling():
+    """The ceiling set by SUBUNIV_CEILING, or DEFAULT_CEILING when it is unset."""
+    env = os.environ.get("SUBUNIV_CEILING")
+    if not env:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(env)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise ConfigError(
+            f"SUBUNIV_CEILING must be an integer of at least 1, got {env!r}")
+    return ceiling
+
+
+def _check_settings(args):
+    """Range-check the settings a command takes and fill in their defaults.
+
+    Only the commands with --ceiling read SUBUNIV_CEILING, and they refuse an
+    n above the ceiling before any work starts.
+    """
+    given = vars(args)
+    if "ceiling" in given and args.ceiling is None:
+        args.ceiling = enumeration_ceiling()
+    if "workers" in given and args.workers is None:
+        args.workers = os.cpu_count() or 1
+    for name in ("ceiling", "k", "workers"):
+        value = given.get(name)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name} must be at least 1, got {value}")
+    if "ceiling" in given and args.n > args.ceiling:
+        raise SizeLimitError(
+            f"enumeration ceiling is {args.ceiling}; raise it explicitly for n={args.n}")
 
 
 def _dump(data):
@@ -43,27 +81,23 @@ def _resolve_input(args):
     raise FormatError("one of --named or --input is required")
 
 
-def cmd_count(args, cfg):
+def cmd_count(args):
     structure, _ = _resolve_input(args)
-    report = count_subuniverses_bruteforce(structure, cfg.k)
-    cross = count_subuniverses_split(structure, 0, cfg.k)
-    if cross.count != report.count:
-        raise AssertionError(f"counting algorithms disagree: {report.count} != {cross.count}")
-    print(_dump(count_report_to_dict(report)))
+    print(_dump(count_report_to_dict(count_subuniverses_checked(structure, args.k))))
     return 0
 
 
-def cmd_sigma(args, cfg):
+def cmd_sigma(args):
     structure, _ = _resolve_input(args)
-    report = count_subuniverses_bruteforce(structure, cfg.k)
-    if cfg.output_format == "json":
+    report = count_subuniverses_bruteforce(structure, args.k)
+    if args.json:
         print(_dump(count_report_to_dict(report)))
     else:
         print(report.sigma)
     return 0
 
 
-def cmd_catalog(args, cfg):
+def cmd_catalog(args):
     rows = []
     for id_ in catalog.catalog_ids():
         ns = catalog.build_named(id_)
@@ -75,9 +109,9 @@ def cmd_catalog(args, cfg):
             "reported_sigma5": [str(v) for v in ns.reported_sigma5],
             "provenance": ns.provenance,
         })
-    if cfg.output_format == "json":
+    if args.json:
         print(_dump(rows))
-    elif cfg.output_format == "csv":
+    elif args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "n", "kind", "expected_sigma5",
                          "reported_sigma5", "provenance"])
@@ -92,9 +126,9 @@ def cmd_catalog(args, cfg):
     return 0
 
 
-def cmd_enumerate(args, cfg):
+def cmd_enumerate(args):
     t0 = time.time()
-    run = enumerate_semilattices(args.n, ceiling=cfg.ceiling_n, workers=cfg.workers)
+    run = enumerate_semilattices(args.n, workers=args.workers)
     elapsed = time.time() - t0
     manifest = {
         "n": run.n,
@@ -120,11 +154,11 @@ def cmd_enumerate(args, cfg):
     return 0
 
 
-def cmd_rank(args, cfg):
-    report = verifier.rank(args.n, workers=cfg.workers, ceiling=cfg.ceiling_n)
-    if cfg.output_format == "json":
+def cmd_rank(args):
+    report = verifier.rank(args.n, workers=args.workers)
+    if args.json:
         print(_dump(verifier.ranking_to_dict(report)))
-    elif cfg.output_format == "csv":
+    elif args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["rank", "count", "witnesses"])
         for i, v in enumerate(report.values, start=1):
@@ -136,7 +170,7 @@ def cmd_rank(args, cfg):
     return 0
 
 
-def cmd_classify(args, cfg):
+def cmd_classify(args):
     structure, labels = _resolve_input(args)
     if not hasattr(structure, "top"):
         raise FormatError("classification needs a total semilattice (covers format)")
@@ -156,10 +190,9 @@ def cmd_classify(args, cfg):
     return 0
 
 
-def cmd_verify_theorem(args, cfg):
-    result = verifier.verify_theorem(args.n, workers=cfg.workers,
-                                     ceiling=cfg.ceiling_n)
-    if cfg.output_format == "json":
+def cmd_verify_theorem(args):
+    result = verifier.verify_theorem(args.n, workers=args.workers)
+    if args.json:
         print(_dump(verifier.theorem_to_dict(result)))
     else:
         for c, e, m in result.top3:
@@ -170,22 +203,22 @@ def cmd_verify_theorem(args, cfg):
                 line += f"  [{c.notes}]"
             print(line)
             for code in c.extra_witnesses:
-                sl = _structure_by_code(args.n, code, cfg.ceiling_n)
+                sl = _structure_by_code(args.n, code)
                 print(f"    extra witness {code[:16]}... covers={list(sl.poset.covers)}")
     return 0 if result.all_passed else 1
 
 
-def _structure_by_code(n, code_hex, ceiling):
-    run = enumerate_semilattices(n, ceiling=ceiling)
+def _structure_by_code(n, code_hex):
+    run = enumerate_semilattices(n)
     try:
         return run.structures[run.codes.index(bytes.fromhex(code_hex))]
     except ValueError:
         raise UnknownStructureError(code_hex) from None
 
 
-def cmd_verify_lemmas(args, cfg):
+def cmd_verify_lemmas(args):
     report = verifier.verify_lemmas()
-    if cfg.output_format == "json":
+    if args.json:
         print(_dump(verifier.lemmas_to_dict(report)))
     else:
         for e in report.entries:
@@ -199,7 +232,7 @@ def cmd_verify_lemmas(args, cfg):
     return 0 if report.all_passed else 1
 
 
-def cmd_export_dot(args, cfg):
+def cmd_export_dot(args):
     try:
         ns = catalog.build_named(args.id)
         structure, labels = ns.structure, ns.labels
@@ -282,10 +315,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, from_env_and_args(args))
+        _check_settings(args)
+        return args.fn(args)
     except SubsemiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 Two independent algorithms are provided: a full 2^n closed-subset count
 (count_subuniverses_bruteforce, backed by the bit-parallel truth-table
 kernel in subsemi.kernel) and a recursive case split on a pivot element with
-memoization (count_subuniverses_split).
+memoization (count_subuniverses_split); count_subuniverses_checked runs
+both and raises when they disagree.
 Relative counts sigma_k are exact dyadic rationals throughout.
 """
 
@@ -206,8 +207,6 @@ def count_subuniverses_split(a, pivot, k=DEFAULT_K):
 
     Recursive case split with memoization; independent of the brute-force scan.
     """
-    if a.n > BRUTE_MAX_N:
-        raise SizeLimitError(f"split count limited to n <= {BRUTE_MAX_N}, got {a.n}")
     if not 0 <= pivot < a.n:
         raise ValueError(f"pivot {pivot} out of range")
     memo = {}
@@ -215,6 +214,16 @@ def count_subuniverses_split(a, pivot, k=DEFAULT_K):
     containing = _count_with(a, in_mask=1 << pivot, memo=memo)
     count = avoiding + containing
     return SubuniverseReport(count=count, sigma=sigma_value(count, a.n, k), k=k, n=a.n)
+
+
+def count_subuniverses_checked(a, k=DEFAULT_K):
+    """The brute-force count, raising AssertionError unless the split count agrees."""
+    report = count_subuniverses_bruteforce(a, k)
+    split = count_subuniverses_split(a, 0, k).count
+    if split != report.count:
+        raise AssertionError(
+            f"counting algorithms disagree: {report.count} != {split} on {a!r}")
+    return report
 
 
 @dataclass(frozen=True)

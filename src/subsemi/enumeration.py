@@ -10,32 +10,15 @@ bruteforce_semilattices is the independent oracle for small n: it scans
 all labeled partial orders directly.
 """
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
-from subsemi.errors import ConfigError, SizeLimitError
+from subsemi.errors import SizeLimitError
 from subsemi.order import Poset, canonical_form, to_semilattice
 
-DEFAULT_CEILING = 9
 BRUTE_ENUM_MAX_N = 5
-
-
-def enumeration_ceiling():
-    """The ceiling set by SUBUNIV_CEILING, or DEFAULT_CEILING when it is unset."""
-    env = os.environ.get("SUBUNIV_CEILING")
-    if not env:
-        return DEFAULT_CEILING
-    try:
-        ceiling = int(env)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise ConfigError(
-            f"SUBUNIV_CEILING must be an integer of at least 1, got {env!r}")
-    return ceiling
 
 
 @dataclass(frozen=True)
@@ -93,13 +76,10 @@ def _expand_parent(parent_up):
 _level_cache = {}
 
 
-def enumerate_semilattices(n, ceiling=None, workers=1):
+def enumerate_semilattices(n, workers=1):
     """All n-element join-semilattices up to isomorphism, deterministically ordered."""
     if n < 1:
         raise SizeLimitError("n must be at least 1")
-    limit = ceiling if ceiling is not None else enumeration_ceiling()
-    if n > limit:
-        raise SizeLimitError(f"enumeration ceiling is {limit}; raise it explicitly for n={n}")
     if n in _level_cache:
         return _level_cache[n]
     if n == 1:
@@ -109,7 +89,7 @@ def enumerate_semilattices(n, ceiling=None, workers=1):
                              (canonical_form(one).code,))
         _level_cache[1] = run
         return run
-    parents = enumerate_semilattices(n - 1, limit, workers).structures
+    parents = enumerate_semilattices(n - 1, workers).structures
     parent_ups = [s.poset.up for s in parents]
     seen = {}
     candidates = 0

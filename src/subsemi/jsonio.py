@@ -13,12 +13,17 @@ from subsemi.errors import SubsemiError
 from subsemi.order import JoinSemilattice, Poset, to_semilattice
 
 
+# A join-format n is a bare number in the file, and the parser builds one
+# label per element; the bound keeps a stated n from exhausting memory.
+MAX_JOIN_N = 1 << 16
+
+
 class FormatError(SubsemiError, ValueError):
     """Malformed structure file; message names the offending field."""
 
 
 def _resolve(entry, labels, field):
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         if labels is not None and not 0 <= entry < len(labels):
             raise FormatError(f"{field}: index {entry} out of range")
         return entry
@@ -30,45 +35,56 @@ def _resolve(entry, labels, field):
         raise FormatError(f"{field}: unknown label {entry!r}") from None
 
 
+def _labels(data):
+    """The labels as distinct strings, or None when the field is absent."""
+    labels = data.get("labels")
+    if labels is None:
+        return None
+    if not isinstance(labels, (list, tuple)) or not labels:
+        raise FormatError("labels: expected a nonempty list")
+    labels = [str(x) for x in labels]
+    if len(set(labels)) != len(labels):
+        raise FormatError("labels: duplicate label")
+    return labels
+
+
+def _entries(data, field, size, shape):
+    """Each entry of a list field, checked to be a list of the given size."""
+    entries = data[field]
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError(f"{field}: expected a list")
+    for idx, entry in enumerate(entries):
+        if not isinstance(entry, (list, tuple)) or len(entry) != size:
+            raise FormatError(f"{field}[{idx}]: expected {shape}")
+        yield idx, entry
+
+
 def structure_from_dict(data):
     """Parse a structure dict; returns (structure, labels)."""
     if not isinstance(data, dict):
         raise FormatError("top level: expected an object")
     if "covers" in data:
-        labels = data.get("labels")
-        if labels is None or not isinstance(labels, list) or not labels:
+        labels = _labels(data)
+        if labels is None:
             raise FormatError("labels: required nonempty list for cover format")
-        labels = [str(x) for x in labels]
-        if len(set(labels)) != len(labels):
-            raise FormatError("labels: duplicate label")
-        n = len(labels)
-        covers = []
-        for idx, pair in enumerate(data["covers"]):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise FormatError(f"covers[{idx}]: expected [lower, upper]")
-            lo = _resolve(pair[0], labels, f"covers[{idx}][0]")
-            hi = _resolve(pair[1], labels, f"covers[{idx}][1]")
-            covers.append((lo, hi))
+        covers = [(_resolve(lo, labels, f"covers[{idx}][0]"),
+                   _resolve(hi, labels, f"covers[{idx}][1]"))
+                  for idx, (lo, hi) in _entries(data, "covers", 2, "[lower, upper]")]
         try:
-            sl = to_semilattice(Poset.from_covers(n, covers))
+            sl = to_semilattice(Poset.from_covers(len(labels), covers))
         except SubsemiError as exc:
             raise FormatError(f"covers: {exc}") from exc
         return sl, tuple(labels)
     if "joins" in data:
-        n = data.get("n")
-        labels = data.get("labels")
-        if labels is not None:
-            labels = [str(x) for x in labels]
-            n = len(labels) if n is None else n
-        if not isinstance(n, int) or n < 1:
-            raise FormatError("n: required positive integer for join format")
-        joins = []
-        for idx, triple in enumerate(data["joins"]):
-            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-                raise FormatError(f"joins[{idx}]: expected [i, j, k]")
-            i, j, k = (_resolve(x, labels, f"joins[{idx}][{t}]")
+        labels = _labels(data)
+        n = data.get("n", None if labels is None else len(labels))
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_JOIN_N:
+            raise FormatError(f"n: required integer from 1 to {MAX_JOIN_N} for join format")
+        if labels is not None and n != len(labels):
+            raise FormatError(f"n: {n} differs from the number of labels, {len(labels)}")
+        joins = [tuple(_resolve(x, labels, f"joins[{idx}][{t}]")
                        for t, x in enumerate(triple))
-            joins.append((i, j, k))
+                 for idx, triple in _entries(data, "joins", 3, "[i, j, k]")]
         try:
             pa = PartialBinaryAlgebra(n, joins)
         except ValueError as exc:

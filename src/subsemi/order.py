@@ -10,8 +10,6 @@ from functools import cached_property
 
 from subsemi.errors import JoinMissingError, PosetAxiomError, SizeLimitError
 
-CANON_MAX_N = 12
-
 
 class Poset:
     """Partial order on 0..n-1; up[i] is the bitmask of {j : i <= j}."""
@@ -297,7 +295,7 @@ def _refined_invariants(p):
 
 def _pack_code(p):
     n = p.n
-    bits = bytearray([n])
+    bits = bytearray([n])   # one byte, so canonical_form refuses n > 255
     acc = 0
     nbits = 0
     for i in range(n):
@@ -313,18 +311,19 @@ def _pack_code(p):
     return bytes(bits)
 
 
-def canonical_form(p, max_n=CANON_MAX_N):
+def canonical_form(p):
     """Lex-minimal relabeling of a poset over invariant-respecting permutations.
 
     Equal codes exactly for isomorphic posets; the search is pruned by the
-    refined invariant partition and by prefix comparison against the best
-    code found so far.
+    refined invariant partition, by placing twins in index order, and by
+    prefix comparison against the best code found so far. Its cost grows
+    with the poset's symmetry rather than with n.
     """
     if isinstance(p, JoinSemilattice):
         p = p.poset
     n = p.n
-    if n > max_n:
-        raise SizeLimitError(f"canonical form limited to n <= {max_n}, got {n}")
+    if n > 255:
+        raise SizeLimitError(f"canonical codes hold n in one byte, so n <= 255; got {n}")
     inv = _refined_invariants(p)
     order = sorted(range(n), key=lambda i: (inv[i], i))
     # position t may only hold elements from the invariant class assigned to t
@@ -339,6 +338,15 @@ def canonical_form(p, max_n=CANON_MAX_N):
     position_block = []
     for members in class_members:
         position_block.extend([members] * len(members))
+    # Twins (same strict up-set and strict down-set) are swapped by an
+    # automorphism, so only the labelings that place them in index order
+    # are searched: an element waits until its previous twin is placed.
+    prev_twin = [None] * n
+    last_of = {}
+    for e in range(n):
+        key = (p.up[e] & ~(1 << e), p.down[e] & ~(1 << e))
+        prev_twin[e] = last_of.get(key)
+        last_of[key] = e
 
     up = p.up
     perm = [0] * n
@@ -366,6 +374,9 @@ def canonical_form(p, max_n=CANON_MAX_N):
         for cand in position_block[t]:
             if used[cand]:
                 continue
+            twin = prev_twin[cand]
+            if twin is not None and not used[twin]:
+                continue
             ch = chunk(cand, t)
             nt = tight
             if best is not None and tight:
@@ -384,10 +395,10 @@ def canonical_form(p, max_n=CANON_MAX_N):
     return CanonicalForm(code=_pack_code(canon), perm=best_perm, up=canon.up)
 
 
-def are_isomorphic(a, b, max_n=CANON_MAX_N):
+def are_isomorphic(a, b):
     """Poset (or semilattice) isomorphism through canonical codes."""
     pa = a.poset if isinstance(a, JoinSemilattice) else a
     pb = b.poset if isinstance(b, JoinSemilattice) else b
     if pa.n != pb.n:
         return False
-    return canonical_form(pa, max_n).code == canonical_form(pb, max_n).code
+    return canonical_form(pa).code == canonical_form(pb).code

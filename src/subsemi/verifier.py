@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from subsemi import analysis, catalog
 from subsemi.counting import (
-    count_subuniverses_bruteforce,
-    count_subuniverses_split,
+    count_subuniverses_checked,
     enumerate_subuniverses,
     sigma,
     sigma_trace_bound,
@@ -31,16 +30,6 @@ CLAIMS = (
 )
 
 TOP3_EXPECTED = (Fraction(32), Fraction(28), Fraction(26))
-
-
-def _count_one(sl):
-    """Cross-checked subuniverse count of one semilattice."""
-    brute = count_subuniverses_bruteforce(sl).count
-    split = count_subuniverses_split(sl, 0).count
-    if brute != split:
-        raise AssertionError(
-            f"counting algorithms disagree on {sl.poset.up}: {brute} != {split}")
-    return brute
 
 
 @dataclass(frozen=True)
@@ -72,11 +61,11 @@ class ClaimCheck:
         return self.status == "verified"
 
 
-def _rank_data(n, workers=1, ceiling=None):
-    run = enumerate_semilattices(n, ceiling=ceiling, workers=workers)
+def _rank_data(n, workers=1):
+    run = enumerate_semilattices(n, workers=workers)
     by_value = {}
     for sl, code in zip(run.structures, run.codes):
-        by_value.setdefault(_count_one(sl), []).append(code)
+        by_value.setdefault(count_subuniverses_checked(sl).count, []).append(code)
     values = tuple(sorted(by_value, reverse=True))
     witnesses = {v: tuple(sorted(c.hex() for c in by_value[v])) for v in values}
     return values, witnesses
@@ -126,12 +115,9 @@ def _check_claim(n, values, witnesses, claim, expected_rank, core_sigma, core_id
     )
 
 
-def rank(n, workers=1, ceiling=None):
-    """Distinct subuniverse counts at size n, with witnesses and claim checks.
-
-    ceiling overrides the enumeration ceiling, as in enumerate_semilattices.
-    """
-    values, witnesses = _rank_data(n, workers, ceiling)
+def rank(n, workers=1):
+    """Distinct subuniverse counts at size n, with witnesses and claim checks."""
+    values, witnesses = _rank_data(n, workers)
     checks = []
     shift = 0
     for claim, r, s, core in CLAIMS:
@@ -156,9 +142,9 @@ class TheoremVerification:
         )
 
 
-def verify_theorem(n, workers=1, ceiling=None):
+def verify_theorem(n, workers=1):
     """Check the three ranking claims at size n against the enumerated universe."""
-    report = rank(n, workers, ceiling)
+    report = rank(n, workers)
     top3 = []
     for i, exp in enumerate(TOP3_EXPECTED):
         want = exp * Fraction(2) ** (n - 5)
@@ -246,10 +232,7 @@ def _lemma_properties(seed=20260811, instances=120):
         for total in range(core.n, 11):
             spare = total - core.n + 1
             for c0 in range(spare):
-                c1 = spare - c0
-                if c1 < 1:
-                    continue
-                member = analysis.build_family_member(core, c0, c1)
+                member = analysis.build_family_member(core, c0, spare - c0)
                 checked += 1
                 if sigma(member) != base:
                     violations += 1

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from subsemi import cli
 from subsemi.cli import main
 from subsemi.jsonio import structure_from_dict
 from subsemi.order import canonical_form
@@ -110,6 +115,44 @@ def test_rank_and_verify_theorem_honour_ceiling_flag(capsys, monkeypatch):
     # the table output looks up the extra witnesses under the same ceiling
     code, out, _ = run(capsys, "verify-theorem", "--n", "6", "--ceiling", "6")
     assert code == 1 and "extra witness" in out
+
+
+def test_ceiling_enforced(capsys, monkeypatch):
+    monkeypatch.setenv("SUBUNIV_CEILING", "3")
+    code, _, err = run(capsys, "enumerate", "--n", "4")
+    assert code == 2 and "ceiling is 3" in err
+    # an explicit ceiling overrides the environment
+    code, out, _ = run(capsys, "enumerate", "--n", "4", "--ceiling", "9")
+    assert code == 0 and json.loads(out)["count"] == 5
+    monkeypatch.delenv("SUBUNIV_CEILING")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started above the ceiling")
+
+    # the default ceiling is checked before any enumeration
+    monkeypatch.setattr(cli, "enumerate_semilattices", refuse)
+    monkeypatch.setattr(cli.verifier, "rank", refuse)
+    monkeypatch.setattr(cli.verifier, "verify_theorem", refuse)
+    for command in ("enumerate", "rank", "verify-theorem"):
+        code, out, err = run(capsys, command, "--n", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: enumeration ceiling is 9; raise it explicitly for n=10\n"
+
+
+@pytest.mark.parametrize("ceiling", ["4", "abc"])
+def test_commands_without_ceiling_ignore_it(capsys, ceiling):
+    # these commands enumerate n = 5..7 internally for the figure shapes;
+    # a cold interpreter shows they no longer read SUBUNIV_CEILING
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, SUBUNIV_CEILING=ceiling)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["catalog", "--json"], ["count", "--named", "K"],
+                 ["verify-lemmas", "--json"]):
+        proc = subprocess.run([sys.executable, "-m", "subsemi", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+        assert code == 0
 
 
 BAD_SETTINGS = [

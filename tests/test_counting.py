@@ -54,6 +54,11 @@ def test_bruteforce_size_limit():
         count_subuniverses_bruteforce(PartialBinaryAlgebra(26, []))
 
 
+def test_split_count_has_no_size_limit(broom, broom_count):
+    # the split counter's cost follows its clauses, not 2^n
+    assert count_subuniverses_split(broom(30), 0).count == broom_count(30)
+
+
 def test_split_matches_reference_decompositions():
     h5 = build_named("H5").structure
     parts = split_parts(h5, 3)                # pivot d

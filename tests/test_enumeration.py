@@ -86,17 +86,6 @@ def test_deleting_minimal_elements_keeps_semilattice(all_structures):
                 assert rest is not None and rest.n == n - 1
 
 
-def test_ceiling_enforced(monkeypatch):
-    with pytest.raises(SizeLimitError):
-        enumerate_semilattices(10)
-    monkeypatch.setenv("SUBUNIV_CEILING", "3")
-    assert enumeration.enumeration_ceiling() == 3
-    with pytest.raises(SizeLimitError):
-        enumerate_semilattices(4)
-    # an explicit ceiling overrides the environment
-    assert len(enumerate_semilattices(4, ceiling=9).structures) == 5
-
-
 def test_worker_determinism(cold_levels, monkeypatch):
     pools = []
 

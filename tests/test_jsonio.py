@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsemi.catalog import build_named
 from subsemi.counting import PartialBinaryAlgebra, count_subuniverses_bruteforce
@@ -92,3 +94,36 @@ def test_dot_is_text_only(tmp_path):
     parsed = dot.splitlines()
     assert parsed[0].startswith("digraph")
     assert parsed[-1] == "}"
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"labels": ["a"], "covers": 5}, "covers"),
+    ({"n": 2, "joins": 5}, "joins"),
+    ({"n": True, "joins": []}, "n"),
+    ({"labels": "ab", "joins": []}, "labels"),
+    ({"labels": ["a", "b"], "covers": [[False, True]]}, r"covers\[0\]\[0\]"),
+    ({"labels": 5, "joins": []}, "labels"),
+    ({"labels": ["a", "a"], "joins": []}, "labels"),
+    ({"n": 2 ** 63, "joins": []}, "n"),
+    ({"labels": ["a", "b", "c"], "n": 5, "joins": [[0, 1, 2]]}, "n"),
+])
+def test_malformed_fields_raise_format_error(doc, field):
+    with pytest.raises(FormatError, match=field):
+        structure_from_dict(doc)
+
+
+JSON_KEYS = st.sampled_from(["labels", "covers", "joins", "n"]) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=12)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_structure_from_dict_returns_or_raises_format_error(data):
+    try:
+        structure_from_dict(data)
+    except FormatError:
+        pass

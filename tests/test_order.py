@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -146,8 +147,23 @@ def test_canonical_distinguishes():
 
 
 def test_canonical_size_limit():
-    with pytest.raises(SizeLimitError):
-        canonical_form(chain(13).poset)
+    # the code's header byte holds n, so n <= 255 is the only limit
+    assert canonical_form(chain(13).poset).code[0] == 13
+    with pytest.raises(SizeLimitError, match="n <= 255"):
+        canonical_form(Poset(tuple(1 << i for i in range(256))))
+
+
+def test_canonical_form_of_twins_is_fast():
+    # K_m, an m-antichain below a top, has m! automorphisms; placing twins
+    # in index order keeps the search from trying them all
+    rng = random.Random(13)
+    start = time.perf_counter()
+    for m in range(2, 14):
+        star = Poset(tuple((1 << i) | (1 << m) for i in range(m)) + (1 << m,))
+        perm = list(range(m + 1))
+        rng.shuffle(perm)
+        assert canonical_form(star.relabel(perm)).code == canonical_form(star).code
+    assert time.perf_counter() - start < 2.0
 
 
 def test_are_isomorphic_examples():

@@ -13,3 +13,17 @@ def test_package_has_no_assert_statement():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_cli_reads_the_environment():
+    # settings reach the library as arguments; only cli.py reads them
+    package = Path(subsemi.__file__).parent
+    readers = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("environ", "getenv"):
+                readers.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert readers and all(r.startswith("cli.py:") for r in readers)
