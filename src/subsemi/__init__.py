@@ -6,7 +6,6 @@ from subsemi.analysis import (
     build_family_member,
     matches_family,
     narrows,
-    verify_narrows_free,
 )
 from subsemi.catalog import (
     NamedStructure,
@@ -39,7 +38,6 @@ from subsemi.order import (
     Poset,
     are_isomorphic,
     canonical_form,
-    covers,
     partial_meet,
     to_semilattice,
     validate_poset,
@@ -53,10 +51,10 @@ __all__ = [
     "NamedStructure", "PartialBinaryAlgebra", "Poset", "SubuniverseReport",
     "are_isomorphic", "build_family_member", "build_named",
     "bruteforce_semilattices", "canonical_form", "catalog_ids", "chain",
-    "count_subuniverses_bruteforce", "count_subuniverses_split", "covers",
+    "count_subuniverses_bruteforce", "count_subuniverses_split",
     "enumerate_semilattices", "enumerate_subuniverses", "glued_sum",
     "is_subuniverse", "matches_family", "narrows", "ordinal_sum",
     "partial_meet", "rank", "reconstruct_figure_structures", "sigma",
     "sigma_trace_bound", "split_parts", "to_semilattice", "validate_poset",
-    "verify_lemmas", "verify_narrows_free", "verify_theorem",
+    "verify_lemmas", "verify_theorem",
 ]

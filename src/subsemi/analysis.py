@@ -29,11 +29,6 @@ def narrows(sl):
     return frozenset(out)
 
 
-def verify_narrows_free(core):
-    """Precondition gate for the equality lemma: the core has no narrows."""
-    return not narrows(core)
-
-
 @dataclass(frozen=True)
 class FamilyMatch:
     core_id: str

@@ -27,6 +27,7 @@ from subsemi.jsonio import (
     structure_to_dict,
     structure_to_dot,
 )
+from subsemi.order import poset_from_code
 
 
 DEFAULT_CEILING = 9
@@ -142,14 +143,17 @@ def cmd_enumerate(args):
         manifest["lattices_on_n_plus_1"] = len(run.structures)
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, (sl, code) in enumerate(zip(run.structures, run.codes)):
-            fname = f"semilattice_{run.n}_{i:05d}.json"
-            payload = structure_to_dict(sl)
-            payload["canonical_code"] = code.hex()
-            (outdir / fname).write_text(_dump(payload) + "\n")
-            manifest["files"].append(fname)
-        (outdir / "manifest.json").write_text(_dump(manifest) + "\n")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for i, (sl, code) in enumerate(zip(run.structures, run.codes)):
+                fname = f"semilattice_{run.n}_{i:05d}.json"
+                payload = structure_to_dict(sl)
+                payload["canonical_code"] = code.hex()
+                (outdir / fname).write_text(_dump(payload) + "\n")
+                manifest["files"].append(fname)
+            (outdir / "manifest.json").write_text(_dump(manifest) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     print(_dump(manifest))
     return 0
 
@@ -203,17 +207,9 @@ def cmd_verify_theorem(args):
                 line += f"  [{c.notes}]"
             print(line)
             for code in c.extra_witnesses:
-                sl = _structure_by_code(args.n, code)
-                print(f"    extra witness {code[:16]}... covers={list(sl.poset.covers)}")
+                covers = list(poset_from_code(bytes.fromhex(code)).covers)
+                print(f"    extra witness {code[:16]}... covers={covers}")
     return 0 if result.all_passed else 1
-
-
-def _structure_by_code(n, code_hex):
-    run = enumerate_semilattices(n)
-    try:
-        return run.structures[run.codes.index(bytes.fromhex(code_hex))]
-    except ValueError:
-        raise UnknownStructureError(code_hex) from None
 
 
 def cmd_verify_lemmas(args):
@@ -243,7 +239,10 @@ def cmd_export_dot(args):
             raise
     text = structure_to_dot(structure, labels, name=args.id)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         print(text, end="")
     return 0

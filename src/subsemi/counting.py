@@ -66,7 +66,6 @@ class SubuniverseReport:
     sigma: Fraction
     k: int
     n: int
-    subsets: tuple = None
 
     def __post_init__(self):
         if self.sigma * Fraction(2) ** (self.n - self.k) != self.count:
@@ -96,18 +95,12 @@ def sigma_value(count, n, k=DEFAULT_K):
     return Fraction(count) * Fraction(2) ** (k - n)
 
 
-def count_subuniverses_bruteforce(a, k=DEFAULT_K, include_subsets=False):
+def count_subuniverses_bruteforce(a, k=DEFAULT_K):
     """Exact count by scanning all 2^n subsets with the bitmask closure test."""
     if a.n > BRUTE_MAX_N:
         raise SizeLimitError(f"brute force limited to n <= {BRUTE_MAX_N}, got {a.n}")
-    subsets = None
-    if include_subsets:
-        subsets = tuple(enumerate_subuniverses(a))
-        count = len(subsets)
-    else:
-        count = kernel.count_closed(a.n, a.closure_constraints())
-    return SubuniverseReport(count=count, sigma=sigma_value(count, a.n, k), k=k,
-                             n=a.n, subsets=subsets)
+    count = kernel.count_closed(a.n, a.closure_constraints())
+    return SubuniverseReport(count=count, sigma=sigma_value(count, a.n, k), k=k, n=a.n)
 
 
 def enumerate_subuniverses(a):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from subsemi.errors import SizeLimitError
-from subsemi.order import Poset, canonical_form, to_semilattice
+from subsemi.order import Poset, canonical_form, poset_from_code, to_semilattice
 
 BRUTE_ENUM_MAX_N = 5
 
@@ -63,59 +63,47 @@ def _upclosed_extensions(parent_up):
 
 
 def _expand_parent(parent_up):
-    """All children of one parent as (canonical code, canonical up-sets)."""
+    """Canonical codes of all children of one parent."""
     pn = len(parent_up)
-    found = []
-    for u in _upclosed_extensions(parent_up):
-        child = Poset(parent_up + (u | (1 << pn),))
-        cf = canonical_form(child)
-        found.append((cf.code, cf.up))
-    return found
-
-
-_level_cache = {}
+    return [canonical_form(Poset(parent_up + (u | (1 << pn),))).code
+            for u in _upclosed_extensions(parent_up)]
 
 
 def enumerate_semilattices(n, workers=1):
-    """All n-element join-semilattices up to isomorphism, deterministically ordered."""
+    """All n-element join-semilattices up to isomorphism, deterministically ordered.
+
+    Each level is kept as the set of its canonical codes; the next level's
+    parents are decoded from them in sorted order, and only level n is built
+    into JoinSemilattices. Nothing is kept between calls, and workers > 1 runs
+    every level in one process pool.
+    """
     if n < 1:
         raise SizeLimitError("n must be at least 1")
-    if n in _level_cache:
-        return _level_cache[n]
-    if n == 1:
-        one = Poset((1,))
-        run = EnumerationRun(1, (to_semilattice(one),),
-                             {"candidates": 1, "duplicates": 0},
-                             (canonical_form(one).code,))
-        _level_cache[1] = run
-        return run
-    parents = enumerate_semilattices(n - 1, workers).structures
-    parent_ups = [s.poset.up for s in parents]
-    seen = {}
-    candidates = 0
-    # batches are consumed as they arrive: holding a whole level's batches
-    # at once raises the peak memory of a run
+    level = {canonical_form(Poset((1,))).code}
+    candidates = 1
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        batches = (pool.map(_expand_parent, parent_ups, chunksize=8) if pool
-                   else map(_expand_parent, parent_ups))
-        for batch in batches:
-            for code, upsets in batch:
-                candidates += 1
-                if code not in seen:
-                    seen[code] = upsets
-    run = _sorted_run(n, seen, candidates)
-    _level_cache[n] = run
-    return run
+        for _ in range(2, n + 1):
+            parent_ups = [poset_from_code(code).up for code in sorted(level)]
+            # batches are consumed as they arrive: holding a whole level's
+            # batches at once raises the peak memory of a run
+            batches = (pool.map(_expand_parent, parent_ups, chunksize=8) if pool
+                       else map(_expand_parent, parent_ups))
+            level = set()
+            candidates = 0
+            for batch in batches:
+                candidates += len(batch)
+                level.update(batch)
+    return _sorted_run(n, level, candidates)
 
 
-def _sorted_run(n, seen, candidates):
-    """The EnumerationRun of a level from its canonical code -> up-sets map."""
-    codes = tuple(sorted(seen))
-    structures = tuple(to_semilattice(Poset(seen[code])) for code in codes)
+def _sorted_run(n, codes, candidates):
+    """The EnumerationRun of a level from the set of its canonical codes."""
+    codes = tuple(sorted(codes))
+    structures = tuple(to_semilattice(poset_from_code(code)) for code in codes)
     return EnumerationRun(
         n, structures,
-        {"candidates": candidates, "duplicates": candidates - len(structures)},
+        {"candidates": candidates, "duplicates": candidates - len(codes)},
         codes,
     )
 
@@ -130,7 +118,7 @@ def bruteforce_semilattices(n):
     if n < 1:
         raise SizeLimitError("n must be at least 1")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = {}
+    seen = set()
     candidates = 0
     for assignment in product((0, 1, 2), repeat=len(pairs)):
         up = [1 << i for i in range(n)]
@@ -167,7 +155,5 @@ def bruteforce_semilattices(n):
         if not ok:
             continue
         candidates += 1
-        cf = canonical_form(Poset(tuple(up)))
-        if cf.code not in seen:
-            seen[cf.code] = cf.up
+        seen.add(canonical_form(Poset(tuple(up))).code)
     return _sorted_run(n, seen, candidates)

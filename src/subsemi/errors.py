@@ -31,7 +31,7 @@ class SizeLimitError(SubsemiError, ValueError):
 
 
 class ConfigError(SubsemiError, ValueError):
-    """A flag or environment variable holds a value out of its range."""
+    """A flag or environment variable holds a value the program cannot use."""
 
 
 class UnknownStructureError(SubsemiError, KeyError):

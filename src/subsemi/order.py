@@ -140,11 +140,6 @@ def validate_poset(le):
     return Poset(up)
 
 
-def covers(p):
-    """Covering pairs of a valid poset."""
-    return list(p.covers)
-
-
 @dataclass(frozen=True)
 class JoinSemilattice:
     """A poset in which every pair has a least upper bound, with join table."""
@@ -236,9 +231,6 @@ def to_semilattice(p):
     return JoinSemilattice(p, tuple(join), top)
 
 
-UNDEFINED = None
-
-
 def partial_meet(s, i, j):
     """Greatest lower bound in a join-semilattice, or None when it does not exist."""
     dn = s.poset.down
@@ -249,7 +241,7 @@ def partial_meet(s, i, j):
         if common & dn[k] == common:
             return k
         m &= m - 1
-    return UNDEFINED
+    return None
 
 
 # -- canonical forms ---------------------------------------------------
@@ -259,14 +251,13 @@ def partial_meet(s, i, j):
 class CanonicalForm:
     """Permutation-minimal encoding of the order relation.
 
-    code: n as one byte, then the permuted le matrix packed row-major.
+    code: n as one byte, then the permuted le matrix packed row-major;
+        poset_from_code decodes it.
     perm: perm[new_index] = original element achieving the code.
-    up: up-sets of the relabeled poset that code encodes.
     """
 
     code: bytes
     perm: tuple
-    up: tuple
 
 
 def _refined_invariants(p):
@@ -294,21 +285,19 @@ def _refined_invariants(p):
 
 
 def _pack_code(p):
+    # row i holds le(i, j) for j = 0..n-1, first bit first; the last byte is
+    # padded with zero bits
     n = p.n
-    bits = bytearray([n])   # one byte, so canonical_form refuses n > 255
-    acc = 0
-    nbits = 0
-    for i in range(n):
-        for j in range(n):
-            acc = (acc << 1) | (p.up[i] >> j & 1)
-            nbits += 1
-            if nbits == 8:
-                bits.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        bits.append(acc << (8 - nbits))
-    return bytes(bits)
+    bits = "".join(format(row, f"0{n}b")[::-1] for row in p.up)
+    bits += "0" * (-len(bits) % 8)
+    return bytes([n]) + int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def poset_from_code(code):
+    """The poset a canonical code encodes, on its canonical labels."""
+    n = code[0]
+    bits = format(int.from_bytes(code[1:], "big"), f"0{8 * (len(code) - 1)}b")
+    return Poset([int(bits[i * n:(i + 1) * n][::-1], 2) for i in range(n)])
 
 
 def canonical_form(p):
@@ -391,8 +380,7 @@ def canonical_form(p):
         return
 
     rec(0, True)
-    canon = p.relabel(best_perm)
-    return CanonicalForm(code=_pack_code(canon), perm=best_perm, up=canon.up)
+    return CanonicalForm(code=_pack_code(p.relabel(best_perm)), perm=best_perm)
 
 
 def are_isomorphic(a, b):

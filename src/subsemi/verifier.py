@@ -154,11 +154,6 @@ def verify_theorem(n, workers=1):
     return TheoremVerification(n=n, claims=report.family_check, top3=tuple(top3))
 
 
-def context_top3(n, workers=1):
-    """The three largest counts, compared with the prior-work expectations."""
-    return verify_theorem(n, workers).top3
-
-
 # -- lemma and catalog value verification --------------------------------
 
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from subsemi import enumeration
 from subsemi.analysis import family_members
 from subsemi.catalog import build_named, chain, glued_sum
 from subsemi.enumeration import enumerate_semilattices
@@ -51,21 +51,15 @@ def _half_value_class(n):
 
 
 @pytest.fixture(scope="session")
-def all_structures():
+def enumerated():
+    """The EnumerationRun of a size, generated once for the whole suite."""
+    return functools.cache(enumerate_semilattices)
+
+
+@pytest.fixture(scope="session")
+def all_structures(enumerated):
     """Enumerated universes keyed by size, shared across the suite."""
-    return {n: enumerate_semilattices(n).structures for n in range(1, 8)}
-
-
-@pytest.fixture
-def cold_levels():
-    """Run the test with enumeration's level cache empty, so generation runs
-    cold and a workers > 1 call starts its pool. Yields the function that
-    empties the cache again; the cache is restored afterwards."""
-    saved = dict(enumeration._level_cache)
-    enumeration._level_cache.clear()
-    yield enumeration._level_cache.clear
-    enumeration._level_cache.clear()
-    enumeration._level_cache.update(saved)
+    return {n: enumerated(n).structures for n in range(1, 8)}
 
 
 @pytest.fixture

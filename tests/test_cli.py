@@ -217,6 +217,38 @@ def test_verify_theorem_n6_reports_failure(capsys):
     assert claims["i"]["status"] == "verified"
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_verify_theorem_table_prints_witness_covers(capsys, monkeypatch, enumerated, n):
+    # each extra witness line shows the covers of the enumerated structure
+    # with that code, and the command enumerates once
+    calls = []
+    results = []
+    real_verify = cli.verifier.verify_theorem
+
+    def counted(size, workers=1):
+        calls.append(size)
+        return enumerated(size)
+
+    def recorded(*args, **kwargs):
+        results.append(real_verify(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli.verifier, "enumerate_semilattices", counted)
+    monkeypatch.setattr(cli, "enumerate_semilattices", counted)
+    monkeypatch.setattr(cli.verifier, "verify_theorem", recorded)
+    code, out, _ = run(capsys, "verify-theorem", "--n", str(n), "--workers", "1")
+    assert code == 1 and calls == [n]
+    by_code = dict(zip(enumerated(n).codes, enumerated(n).structures))
+    expected = []
+    for claim in results[0].claims:
+        for hex_code in claim.extra_witnesses:
+            sl = by_code[bytes.fromhex(hex_code)]
+            expected.append(
+                f"    extra witness {hex_code[:16]}... covers={list(sl.poset.covers)}")
+    assert expected
+    assert [line for line in out.splitlines() if "extra witness" in line] == expected
+
+
 def test_verify_lemmas(capsys):
     code, out, _ = run(capsys, "verify-lemmas", "--json")
     assert code == 0
@@ -243,6 +275,20 @@ def test_export_dot_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "export-dot", "H5", "--out", str(target))
     assert code == 0
     assert target.read_text().startswith('digraph "H5"')
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["enumerate", "--n", "3", "--out"], "a_file"),
+    (["export-dot", "H5", "--out"], "."),
+    (["export-dot", "H5", "--out"], "missing/h5.dot"),
+])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+    (tmp_path / "a_file").write_text("")
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_json_deterministic(capsys):

@@ -81,9 +81,8 @@ def test_split_equals_bruteforce_every_pivot(all_structures):
 
 
 @pytest.mark.parametrize("n", [8, 9])
-def test_split_equals_bruteforce_every_pivot_large(n):
-    from subsemi.enumeration import enumerate_semilattices
-    for sl in enumerate_semilattices(n).structures:
+def test_split_equals_bruteforce_every_pivot_large(n, enumerated):
+    for sl in enumerated(n).structures:
         want = count_subuniverses_bruteforce(sl).count
         for pivot in range(n):
             assert count_subuniverses_split(sl, pivot).count == want
@@ -118,10 +117,10 @@ def test_sigma_exactness(all_structures):
 def test_enumerate_subuniverses():
     single = chain(1)
     assert enumerate_subuniverses(single) == [0, 1]
-    b4 = build_named("B4").structure
-    assert len(enumerate_subuniverses(b4)) == 14
-    u1 = build_named("U1").structure
-    assert len(enumerate_subuniverses(u1)) == 343
+    for id_, count in (("B4", 14), ("U1", 343)):
+        structure = build_named(id_).structure
+        assert len(enumerate_subuniverses(structure)) == count
+        assert count_subuniverses_bruteforce(structure).count == count
 
 
 def test_counts_never_below_closure_minimum(all_structures):
@@ -186,14 +185,6 @@ def test_subset_iteration_is_ascending():
     u7 = build_named("U7").structure
     subs = enumerate_subuniverses(u7)
     assert subs == sorted(subs)
-
-
-def test_report_with_explicit_subsets():
-    b4 = build_named("B4").structure
-    report = count_subuniverses_bruteforce(b4, include_subsets=True)
-    assert report.count == 14
-    assert report.subsets == tuple(enumerate_subuniverses(b4))
-    assert count_subuniverses_bruteforce(b4).subsets is None
 
 
 def test_empty_structures_rejected():

@@ -4,13 +4,14 @@ import time
 import pytest
 
 from subsemi.catalog import build_named, chain, glued_sum
+from subsemi.enumeration import _upclosed_extensions
 from subsemi.errors import JoinMissingError, PosetAxiomError, SizeLimitError
 from subsemi.order import (
     Poset,
     are_isomorphic,
     canonical_form,
-    covers,
     partial_meet,
+    poset_from_code,
     to_semilattice,
     validate_poset,
 )
@@ -77,14 +78,14 @@ def test_to_semilattice_diamond():
 
 
 def test_covers_chain_and_diamond():
-    assert len(covers(chain(3).poset)) == 2
-    assert len(covers(build_named("B4").structure.poset)) == 4
+    assert len(chain(3).poset.covers) == 2
+    assert len(build_named("B4").structure.poset.covers) == 4
 
 
 def test_covers_H5():
     h5 = build_named("H5").structure
     # labels a b c d 1 map to indices 0 1 2 3 4
-    assert set(covers(h5.poset)) == {(0, 1), (1, 2), (2, 4), (3, 4)}
+    assert set(h5.poset.covers) == {(0, 1), (1, 2), (2, 4), (3, 4)}
 
 
 def test_covers_le_round_trip(all_structures):
@@ -133,9 +134,25 @@ def test_canonical_idempotent(all_structures):
         again = canonical_form(sl.poset.relabel(cf.perm))
         assert again.code == cf.code
         assert again.perm == tuple(range(sl.n))
-        # up is the relabeled poset that code encodes, itself in canonical form
-        assert cf.up == sl.poset.relabel(cf.perm).up
-        assert canonical_form(Poset(cf.up)).code == cf.code
+        # code encodes the relabeled poset, itself in canonical form
+        decoded = poset_from_code(cf.code)
+        assert decoded == sl.poset.relabel(cf.perm)
+        assert canonical_form(decoded).code == cf.code
+
+
+def test_code_decodes_to_the_canonical_poset(enumerated):
+    # every candidate generation meets at n <= 7, plus K_13 (an antichain of
+    # 13 below a top) and a 40-chain, whose rows are longer than a byte
+    posets = []
+    for n in range(2, 8):
+        for parent in enumerated(n - 1).structures:
+            up = parent.poset.up
+            posets += [Poset(up + (u | 1 << (n - 1),)) for u in _upclosed_extensions(up)]
+    posets.append(Poset(tuple((1 << i) | (1 << 13) for i in range(13)) + (1 << 13,)))
+    posets.append(chain(40).poset)
+    for p in posets:
+        cf = canonical_form(p)
+        assert poset_from_code(cf.code) == p.relabel(cf.perm)
 
 
 def test_canonical_distinguishes():

@@ -63,14 +63,22 @@ def test_theorem_n7_value_intruder(broom_count):
     assert ii.value_at_rank and len(ii.extra_witnesses) == 3
 
 
+@pytest.fixture
+def shared_runs(enumerated, monkeypatch):
+    """Let verifier.rank rank the suite's shared runs instead of generating
+    each size again."""
+    monkeypatch.setattr(verifier, "enumerate_semilattices",
+                        lambda n, workers=1: enumerated(n))
+
+
 @pytest.mark.parametrize("n", [6, 7, 8])
-def test_half_value_witness_class(n, half_value_class):
+def test_half_value_witness_class(n, half_value_class, shared_runs):
     rep = verifier.rank(n)
     expected = 49 * 2 ** (n - 5) // 2
     assert set(rep.witnesses[expected]) == half_value_class(n)
 
 
-def test_theorem_n9_at_default_ceiling(half_value_class):
+def test_theorem_n9_at_default_ceiling(half_value_class, shared_runs):
     rep = verifier.rank(9)
     # the broom family values 24 + 2^(5-m) fill in below 24.5
     assert rep.values[:9] == (512, 448, 416, 400, 392, 388, 386, 385, 384)
@@ -127,8 +135,10 @@ def test_exact_computed_value_recorded():
 
 
 def test_context_top3():
-    assert verifier.context_top3(5) == ((32, 32, True), (28, 28, True), (26, 26, True))
-    assert verifier.context_top3(6) == ((64, 64, True), (56, 56, True), (52, 52, True))
+    assert verifier.verify_theorem(5).top3 == \
+        ((32, 32, True), (28, 28, True), (26, 26, True))
+    assert verifier.verify_theorem(6).top3 == \
+        ((64, 64, True), (56, 56, True), (52, 52, True))
 
 
 def test_reports_serialize_deterministically():
