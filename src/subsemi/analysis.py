@@ -24,7 +24,7 @@ def narrows(sl):
     for u in range(sl.n):
         if u == sl.top:
             continue
-        if sl.up[u] | sl.poset.down[u] == full:
+        if sl.up[u] | sl.down[u] == full:
             out.add(u)
     return frozenset(out)
 
@@ -52,7 +52,7 @@ def build_family_member(core, c0_len, c1_len):
     glued = glued_sum(core_sl, chain(c1_len))
     if c0_len == 0:
         return glued
-    return to_semilattice(ordinal_sum(chain_poset(c0_len), glued.poset))
+    return to_semilattice(ordinal_sum(chain_poset(c0_len), glued))
 
 
 @lru_cache(maxsize=None)
@@ -67,7 +67,7 @@ def family_members(core, n):
     for c0 in range(0, spare):
         c1 = spare - c0
         member = build_family_member(core_sl, c0, c1)
-        code = canonical_form(member.poset).code
+        code = canonical_form(member).code
         out.setdefault(code, (c0, c1))
     return out
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from subsemi.counting import PartialBinaryAlgebra, split_parts
+from subsemi.counting import PartialBinaryAlgebra, count_subuniverses_bruteforce, split_parts
+from subsemi.enumeration import enumerate_semilattices
 from subsemi.errors import NoMatchError, NoUniqueBottomError, UnknownStructureError
 from subsemi.order import JoinSemilattice, Poset, canonical_form, to_semilattice
 
@@ -34,9 +35,6 @@ def chain_poset(m):
 
 def ordinal_sum(p, q):
     """Stack q entirely above p; q's indices are shifted by |p|."""
-    p = p.poset if isinstance(p, JoinSemilattice) else p
-    q = q.poset if isinstance(q, JoinSemilattice) else q
-    n = p.n + q.n
     qfull = ((1 << q.n) - 1) << p.n
     up = [p.up[i] | qfull for i in range(p.n)]
     up += [q.up[i] << p.n for i in range(q.n)]
@@ -44,31 +42,19 @@ def ordinal_sum(p, q):
 
 
 def glued_sum(k, l):
-    """Identify the top of k with the bottom of l; size |k| + |l| - 1."""
-    bottoms = l.poset.minimal_elements()
+    """Identify the top of k with the bottom of l; size |k| + |l| - 1.
+
+    k keeps its indices and l's other elements follow in index order.
+    """
+    bottoms = l.minimal_elements()
     if len(bottoms) != 1:
         raise NoUniqueBottomError(f"upper summand has {len(bottoms)} minimal elements")
     bottom = bottoms[0]
     keep = [e for e in range(l.n) if e != bottom]
     pos = {e: i + k.n for i, e in enumerate(keep)}
     pos[bottom] = k.top
-    n = k.n + l.n - 1
-    up = []
-    for i in range(k.n):
-        m = k.up[i]
-        # everything in k lies below the glue, hence below all of l
-        for e in keep:
-            m |= 1 << pos[e]
-        up.append(m)
-    for e in keep:
-        m = 0
-        f = l.poset.up[e]
-        while f:
-            j = (f & -f).bit_length() - 1
-            m |= 1 << pos[j]
-            f &= f - 1
-        up.append(m)
-    return to_semilattice(Poset(up))
+    covers = list(k.covers) + [(pos[lo], pos[hi]) for lo, hi in l.covers]
+    return to_semilattice(Poset.from_covers(k.n + l.n - 1, covers))
 
 
 # -- case structures as partial algebras --------------------------------
@@ -305,11 +291,8 @@ def reconstruct_figure_structures():
     ascending canonical-code order and each with its first matching pivot;
     uniqueness up to isomorphism is reported either way.
     """
-    from subsemi.counting import count_subuniverses_bruteforce
-    from subsemi.enumeration import enumerate_semilattices
-
     results = {}
-    base_codes = {"B4": {canonical_form(build_named("B4").structure.poset).code}}
+    base_codes = {"B4": {canonical_form(build_named("B4").structure).code}}
     for target, (n, total, base, base_total, meets) in _FIGURE_TARGETS.items():
         run = enumerate_semilattices(n)
         matches = []
@@ -323,7 +306,7 @@ def reconstruct_figure_structures():
                 rest = sl.delete(v)
                 if rest is None:
                     continue
-                if canonical_form(rest.poset).code not in base_codes[base]:
+                if canonical_form(rest).code not in base_codes[base]:
                     continue
                 parts = split_parts(sl, v)
                 if (parts.avoiding, parts.containing_disjoint,

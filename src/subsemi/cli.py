@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from subsemi import analysis, catalog, verifier
@@ -127,7 +128,21 @@ def cmd_catalog(args):
     return 0
 
 
+@contextmanager
+def _writing_out(path):
+    """Report an OSError while writing --out as a one-line input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror}") from None
+
+
 def cmd_enumerate(args):
+    outdir = Path(args.out) if args.out else None
+    if outdir:
+        # a bad path fails before the run rather than after it
+        with _writing_out(args.out):
+            outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     run = enumerate_semilattices(args.n, workers=args.workers)
     elapsed = time.time() - t0
@@ -141,10 +156,8 @@ def cmd_enumerate(args):
     if args.as_lattice_count:
         # adding a new bottom is a bijection onto the lattices one size up
         manifest["lattices_on_n_plus_1"] = len(run.structures)
-    if args.out:
-        outdir = Path(args.out)
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
+        with _writing_out(args.out):
             for i, (sl, code) in enumerate(zip(run.structures, run.codes)):
                 fname = f"semilattice_{run.n}_{i:05d}.json"
                 payload = structure_to_dict(sl)
@@ -152,8 +165,6 @@ def cmd_enumerate(args):
                 (outdir / fname).write_text(_dump(payload) + "\n")
                 manifest["files"].append(fname)
             (outdir / "manifest.json").write_text(_dump(manifest) + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     print(_dump(manifest))
     return 0
 
@@ -239,10 +250,8 @@ def cmd_export_dot(args):
             raise
     text = structure_to_dot(structure, labels, name=args.id)
     if args.out:
-        try:
+        with _writing_out(args.out):
             Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         print(text, end="")
     return 0

@@ -110,7 +110,7 @@ def structure_to_dict(structure, labels=None):
     labels = list(labels)
     if isinstance(structure, JoinSemilattice):
         return {"labels": labels,
-                "covers": [list(c) for c in structure.poset.covers]}
+                "covers": [list(c) for c in structure.covers]}
     return {"labels": labels, "n": structure.n,
             "joins": [list(t) for t in structure.defined_joins]}
 
@@ -124,7 +124,7 @@ def structure_to_dot(structure, labels=None, name="structure"):
     for i, lab in enumerate(labels):
         lines.append(f"  e{i} [label={json.dumps(str(lab))}];")
     if isinstance(structure, JoinSemilattice):
-        for lo, hi in structure.poset.covers:
+        for lo, hi in structure.covers:
             lines.append(f"  e{lo} -> e{hi};")
     else:
         for t, (i, j, k) in enumerate(structure.defined_joins):

@@ -102,7 +102,7 @@ class Poset:
         return hash(self.up)
 
     def __repr__(self):
-        return f"Poset(n={self.n}, covers={list(self.covers)})"
+        return f"{type(self).__name__}(n={self.n}, covers={list(self.covers)})"
 
 
 def validate_poset(le):
@@ -140,24 +140,15 @@ def validate_poset(le):
     return Poset(up)
 
 
-@dataclass(frozen=True)
-class JoinSemilattice:
+class JoinSemilattice(Poset):
     """A poset in which every pair has a least upper bound, with join table."""
 
-    poset: Poset
-    join: tuple       # n x n tuple of element indices
-    top: int
+    __slots__ = ("join", "top")
 
-    @property
-    def n(self):
-        return self.poset.n
-
-    @property
-    def up(self):
-        return self.poset.up
-
-    def le(self, i, j):
-        return self.poset.le(i, j)
+    def __init__(self, up, join, top):
+        super().__init__(up)
+        self.join = join      # n x n tuple of element indices
+        self.top = top
 
     @cached_property
     def nontrivial_joins(self):
@@ -202,9 +193,6 @@ class JoinSemilattice:
             return None
         return self.induced(rest)
 
-    def __repr__(self):
-        return f"JoinSemilattice(n={self.n}, covers={list(self.poset.covers)})"
-
 
 def to_semilattice(p):
     """Compute the join table of a poset, or raise JoinMissingError(i, j)."""
@@ -228,12 +216,12 @@ def to_semilattice(p):
         join.append(tuple(row))
     # with every pair joined, the join of all elements is the one maximal element
     top = next(i for i in range(n) if p.up[i] == 1 << i)
-    return JoinSemilattice(p, tuple(join), top)
+    return JoinSemilattice(p.up, tuple(join), top)
 
 
 def partial_meet(s, i, j):
     """Greatest lower bound in a join-semilattice, or None when it does not exist."""
-    dn = s.poset.down
+    dn = s.down
     common = dn[i] & dn[j]
     m = common
     while m:
@@ -308,8 +296,6 @@ def canonical_form(p):
     prefix comparison against the best code found so far. Its cost grows
     with the poset's symmetry rather than with n.
     """
-    if isinstance(p, JoinSemilattice):
-        p = p.poset
     n = p.n
     if n > 255:
         raise SizeLimitError(f"canonical codes hold n in one byte, so n <= 255; got {n}")
@@ -385,8 +371,4 @@ def canonical_form(p):
 
 def are_isomorphic(a, b):
     """Poset (or semilattice) isomorphism through canonical codes."""
-    pa = a.poset if isinstance(a, JoinSemilattice) else a
-    pb = b.poset if isinstance(b, JoinSemilattice) else b
-    if pa.n != pb.n:
-        return False
-    return canonical_form(pa).code == canonical_form(pb).code
+    return a.n == b.n and canonical_form(a).code == canonical_form(b).code

@@ -10,7 +10,7 @@ property-tests the bound, monotonicity, and chain-invariance lemmas.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from subsemi import analysis, catalog
@@ -267,26 +267,8 @@ def verify_lemmas(seed=20260811):
 # -- JSON-friendly serialization -----------------------------------------
 
 
-def _frac_str(f):
-    return str(f) if isinstance(f, Fraction) else f
-
-
 def claim_to_dict(c):
-    return {
-        "claim": c.claim,
-        "n": c.n,
-        "expected_rank": c.expected_rank,
-        "expected_sigma": _frac_str(c.expected_sigma),
-        "expected_count": c.expected_count,
-        "status": c.status,
-        "value_present": c.value_present,
-        "value_at_rank": c.value_at_rank,
-        "count_at_rank": c.count_at_rank,
-        "witnesses_equal_family": c.witnesses_equal_family,
-        "extra_witnesses": list(c.extra_witnesses),
-        "missing_witnesses": list(c.missing_witnesses),
-        "notes": c.notes,
-    }
+    return {**asdict(c), "expected_sigma": str(c.expected_sigma)}
 
 
 def ranking_to_dict(r):
@@ -312,19 +294,13 @@ def theorem_to_dict(t):
 def lemmas_to_dict(d):
     return {
         "entries": [
-            {
-                "location": e.location,
-                "reported_values": [_frac_str(v) for v in e.reported_values],
-                "computed": _frac_str(e.computed),
-                "computed_decimal": float(e.computed),
-                "classification": e.classification,
-            }
+            {**asdict(e),
+             "reported_values": [str(v) for v in e.reported_values],
+             "computed": str(e.computed),
+             "computed_decimal": float(e.computed)}
             for e in d.entries
         ],
-        "properties": [
-            {"name": p.name, "instances": p.instances, "violations": p.violations}
-            for p in d.properties
-        ],
+        "properties": [asdict(p) for p in d.properties],
         "notes": list(d.notes),
         "all_passed": d.all_passed,
     }

@@ -217,9 +217,9 @@ def test_criterion_5_counting_oracle_equivalence(enumerated):
 def test_criterion_6_enumeration_oracle():
     bad = []
     for n in range(1, 6):
-        a = {canonical_form(s.poset).code for s in
+        a = {canonical_form(s).code for s in
              enumerate_semilattices(n).structures}
-        b = {canonical_form(s.poset).code for s in
+        b = {canonical_form(s).code for s in
              bruteforce_semilattices(n).structures}
         if a != b:
             bad.append(n)

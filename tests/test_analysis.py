@@ -35,12 +35,12 @@ def test_glue_element_is_a_narrows():
     (glue,) = ns
     # the glue is comparable with everything but is neither top nor bottom
     assert glue != h3b4.top
-    assert len(h3b4.poset.minimal_elements()) == 2
+    assert len(h3b4.minimal_elements()) == 2
 
 
 def test_bottom_chain_elements_become_narrows():
     h5 = build_named("H5").structure
-    s = to_semilattice(ordinal_sum(chain_poset(1), h5.poset))
+    s = to_semilattice(ordinal_sum(chain_poset(1), h5))
     assert narrows(s) == frozenset({0})
 
 
@@ -58,7 +58,7 @@ def test_matches_family_degenerate():
 def test_matches_family_constructed_member():
     member = to_semilattice(ordinal_sum(
         chain_poset(2),
-        build_family_member("K3", 0, 3).poset,
+        build_family_member("K3", 0, 3),
     ))
     m = matches_family(member, "K3")
     assert m.matched and (m.c0_len, m.c1_len) == (2, 3)
@@ -102,7 +102,7 @@ def test_matched_member_is_isomorphic_to_reconstruction(all_structures):
         m = matches_family(sl, "H5")
         if m.matched:
             assert are_isomorphic(sl, build_family_member(h5, m.c0_len, m.c1_len))
-            assert canonical_form(sl.poset).code in family_codes("H5", 6)
+            assert canonical_form(sl).code in family_codes("H5", 6)
 
 
 def _pairwise_match(sl, core_id):

@@ -36,7 +36,7 @@ def test_ordinal_sum_chains_concatenate():
 
 def test_ordinal_sum_below_H5():
     h5 = build_named("H5").structure
-    s = to_semilattice(ordinal_sum(chain_poset(1), h5.poset))
+    s = to_semilattice(ordinal_sum(chain_poset(1), h5))
     assert s.n == 6
     assert sigma(s) == 25
 
@@ -50,15 +50,15 @@ def test_ordinal_sum_antichains_have_no_join():
 def test_ordinal_sum_associative_up_to_iso(rng):
     from subsemi.randomgen import random_semilattice
     for _ in range(25):
-        p = random_semilattice(rng, rng.randint(1, 4)).poset
-        q = random_semilattice(rng, rng.randint(1, 4)).poset
-        r = random_semilattice(rng, rng.randint(1, 4)).poset
+        p = random_semilattice(rng, rng.randint(1, 4))
+        q = random_semilattice(rng, rng.randint(1, 4))
+        r = random_semilattice(rng, rng.randint(1, 4))
         left = ordinal_sum(ordinal_sum(p, q), r)
         right = ordinal_sum(p, ordinal_sum(q, r))
         assert are_isomorphic(left, right)
 
 
-def test_glued_sum_examples():
+def test_glued_sum_examples(broom):
     k3 = build_named("K3").structure
     g = glued_sum(k3, chain(2))
     assert g.n == 5
@@ -67,6 +67,12 @@ def test_glued_sum_examples():
     assert h3b4.n == 6
     assert sigma(h3b4) == Fraction(49, 2)
     assert are_isomorphic(glued_sum(k3, chain(1)), k3)
+    # the index layout: k keeps its indices and l's other elements follow in
+    # index order; broom(3)'s top is not its last index, and this diamond's
+    # bottom is index 1
+    diamond = to_semilattice(Poset.from_covers(4, [(1, 0), (1, 2), (0, 3), (2, 3)]))
+    assert h3b4.up == (61, 62, 60, 40, 48, 32)
+    assert glued_sum(broom(3), diamond).up == (59, 58, 62, 40, 48, 32)
 
 
 def test_glued_sum_size_law(rng):
@@ -74,7 +80,7 @@ def test_glued_sum_size_law(rng):
     for _ in range(25):
         k = random_semilattice(rng, rng.randint(1, 5))
         l = random_semilattice(rng, rng.randint(1, 5))
-        if len(l.poset.minimal_elements()) != 1:
+        if len(l.minimal_elements()) != 1:
             with pytest.raises(NoUniqueBottomError):
                 glued_sum(k, l)
             continue

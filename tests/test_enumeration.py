@@ -12,7 +12,7 @@ KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 53, 7: 222, 8: 1078, 9: 5994}
 
 
 def codes(run):
-    return {canonical_form(sl.poset).code for sl in run.structures}
+    return {canonical_form(sl).code for sl in run.structures}
 
 
 @pytest.mark.parametrize("n", sorted(KNOWN_COUNTS))
@@ -32,7 +32,7 @@ def test_every_structure_is_valid(all_structures):
     for n, structures in all_structures.items():
         for sl in structures:
             assert sl.n == n
-            assert sl.poset.up[sl.top] == 1 << sl.top
+            assert sl.up[sl.top] == 1 << sl.top
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -81,7 +81,7 @@ def test_deleting_minimal_elements_keeps_semilattice(all_structures):
         if n < 2:
             continue
         for sl in structures:
-            for v in sl.poset.minimal_elements():
+            for v in sl.minimal_elements():
                 rest = sl.delete(v)
                 assert rest is not None and rest.n == n - 1
 
@@ -101,8 +101,8 @@ def test_worker_determinism(monkeypatch):
     assert len(pools) == 1
     assert parallel.codes == serial.codes
     assert parallel.stats == serial.stats
-    assert [s.poset.up for s in parallel.structures] == \
-        [s.poset.up for s in serial.structures]
+    assert [s.up for s in parallel.structures] == \
+        [s.up for s in serial.structures]
 
 
 def test_output_order_is_sorted():
@@ -112,4 +112,4 @@ def test_output_order_is_sorted():
         assert len(run.codes) == len(run.structures)
         assert all(a < b for a, b in zip(run.codes, run.codes[1:]))
         for sl, code in zip(run.structures, run.codes):
-            assert code == canonical_form(sl.poset).code
+            assert code == canonical_form(sl).code

@@ -48,7 +48,7 @@ def test_round_trip_total():
     doc = structure_to_dict(sl, labels)
     sl2, labels2 = structure_from_dict(doc)
     assert labels2 == labels
-    assert sl2.poset.up == sl.poset.up
+    assert sl2.up == sl.up
 
 
 def test_errors_name_the_field():

@@ -73,26 +73,26 @@ def test_to_semilattice_antichain_fails():
 def test_to_semilattice_diamond():
     b4 = build_named("B4").structure
     atoms = [i for i in range(4) if i not in (b4.top,)
-             and b4.poset.down[i].bit_count() == 2]
+             and b4.down[i].bit_count() == 2]
     assert b4.join[atoms[0]][atoms[1]] == b4.top
 
 
 def test_covers_chain_and_diamond():
-    assert len(chain(3).poset.covers) == 2
-    assert len(build_named("B4").structure.poset.covers) == 4
+    assert len(chain(3).covers) == 2
+    assert len(build_named("B4").structure.covers) == 4
 
 
 def test_covers_H5():
     h5 = build_named("H5").structure
     # labels a b c d 1 map to indices 0 1 2 3 4
-    assert set(h5.poset.covers) == {(0, 1), (1, 2), (2, 4), (3, 4)}
+    assert set(h5.covers) == {(0, 1), (1, 2), (2, 4), (3, 4)}
 
 
 def test_covers_le_round_trip(all_structures):
     for n, structures in all_structures.items():
         for sl in structures[:40]:
-            rebuilt = Poset.from_covers(n, sl.poset.covers)
-            assert rebuilt.up == sl.poset.up
+            rebuilt = Poset.from_covers(n, sl.covers)
+            assert rebuilt.up == sl.up
 
 
 def test_join_table_consistent_with_order(all_structures):
@@ -123,20 +123,20 @@ def test_canonical_relabeling_invariance(all_structures):
         sl = rng.choice(pool)
         perm = list(range(sl.n))
         rng.shuffle(perm)
-        relabeled = sl.poset.relabel(perm)
-        assert canonical_form(relabeled).code == canonical_form(sl.poset).code
+        relabeled = sl.relabel(perm)
+        assert canonical_form(relabeled).code == canonical_form(sl).code
         pairs += 1
 
 
 def test_canonical_idempotent(all_structures):
     for sl in all_structures[5]:
-        cf = canonical_form(sl.poset)
-        again = canonical_form(sl.poset.relabel(cf.perm))
+        cf = canonical_form(sl)
+        again = canonical_form(sl.relabel(cf.perm))
         assert again.code == cf.code
         assert again.perm == tuple(range(sl.n))
         # code encodes the relabeled poset, itself in canonical form
         decoded = poset_from_code(cf.code)
-        assert decoded == sl.poset.relabel(cf.perm)
+        assert decoded == sl.relabel(cf.perm)
         assert canonical_form(decoded).code == cf.code
 
 
@@ -146,10 +146,10 @@ def test_code_decodes_to_the_canonical_poset(enumerated):
     posets = []
     for n in range(2, 8):
         for parent in enumerated(n - 1).structures:
-            up = parent.poset.up
+            up = parent.up
             posets += [Poset(up + (u | 1 << (n - 1),)) for u in _upclosed_extensions(up)]
     posets.append(Poset(tuple((1 << i) | (1 << 13) for i in range(13)) + (1 << 13,)))
-    posets.append(chain(40).poset)
+    posets.append(chain(40))
     for p in posets:
         cf = canonical_form(p)
         assert poset_from_code(cf.code) == p.relabel(cf.perm)
@@ -159,13 +159,13 @@ def test_canonical_distinguishes():
     c4 = chain(4)
     b4 = build_named("B4").structure
     k3 = build_named("K3").structure
-    codes = {canonical_form(x.poset).code for x in (c4, b4, k3)}
+    codes = {canonical_form(x).code for x in (c4, b4, k3)}
     assert len(codes) == 3
 
 
 def test_canonical_size_limit():
     # the code's header byte holds n, so n <= 255 is the only limit
-    assert canonical_form(chain(13).poset).code[0] == 13
+    assert canonical_form(chain(13)).code[0] == 13
     with pytest.raises(SizeLimitError, match="n <= 255"):
         canonical_form(Poset(tuple(1 << i for i in range(256))))
 
@@ -185,8 +185,8 @@ def test_canonical_form_of_twins_is_fast():
 
 def test_are_isomorphic_examples():
     h5 = build_named("H5").structure
-    relab = h5.poset.relabel([4, 2, 0, 3, 1])
-    assert are_isomorphic(h5.poset, relab)
+    relab = h5.relabel([4, 2, 0, 3, 1])
+    assert are_isomorphic(h5, relab)
     assert not are_isomorphic(h5, chain(5))
     k3 = build_named("K3").structure
     assert are_isomorphic(glued_sum(k3, chain(1)), k3)
@@ -226,8 +226,8 @@ def test_canonical_codes_match_bruteforce_isomorphism(all_structures):
     for _ in range(150):
         n = rng.randint(2, 6)
         pool = all_structures[n]
-        a = rng.choice(pool).poset
-        b = rng.choice(pool).poset
+        a = rng.choice(pool)
+        b = rng.choice(pool)
         if rng.random() < 0.4:
             perm = list(range(n))
             rng.shuffle(perm)

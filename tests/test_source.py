@@ -4,12 +4,16 @@ from pathlib import Path
 import subsemi
 
 
+def _package_modules():
+    """(path, syntax tree) of every module of the package, in path order."""
+    for path in sorted(Path(subsemi.__file__).parent.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_package_has_no_assert_statement():
     # python -O strips assert statements, so none may guard a result
-    package = Path(subsemi.__file__).parent
     found = []
-    for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _package_modules():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
@@ -17,10 +21,8 @@ def test_package_has_no_assert_statement():
 
 def test_only_the_cli_reads_the_environment():
     # settings reach the library as arguments; only cli.py reads them
-    package = Path(subsemi.__file__).parent
     readers = []
-    for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _package_modules():
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute) else
                     node.name if isinstance(node, ast.alias) else None)
@@ -33,10 +35,8 @@ def test_no_module_level_empty_container():
     # a module-level dict, list or set that code fills is state shared by
     # every caller in the process; a process-wide cache must be a functools
     # cache keyed on its arguments
-    package = Path(subsemi.__file__).parent
     found = []
-    for path in sorted(package.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _package_modules():
         for node in tree.body:
             value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
             empty = (isinstance(value, ast.Dict) and not value.keys
@@ -46,4 +46,14 @@ def test_no_module_level_empty_container():
                      and value.func.id in ("dict", "list", "set"))
             if empty:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_poset_attribute():
+    # a JoinSemilattice is a Poset, so no code reaches an order through a
+    # wrapped .poset field
+    found = []
+    for path, tree in _package_modules():
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "poset"]
     assert found == []

@@ -14,7 +14,7 @@ def test_rank_n5():
     chain5 = verifier.rank(5).witnesses[32]
     assert len(chain5) == 1
     h5 = build_named("H5").structure
-    assert report.witnesses[25] == (canonical_form(h5.poset).code.hex(),)
+    assert report.witnesses[25] == (canonical_form(h5).code.hex(),)
 
 
 def test_rank_n6():
