@@ -143,9 +143,9 @@ def cmd_enumerate(args):
         # a bad path fails before the run rather than after it
         with _writing_out(args.out):
             outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     run = enumerate_semilattices(args.n, workers=args.workers)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     manifest = {
         "n": run.n,
         "count": len(run.structures),

@@ -6,6 +6,18 @@ whenever U meets every up-set in a set with a unique minimum (that minimum
 becomes the new join). Deleting any minimal element of a join-semilattice
 leaves a join-semilattice, so every structure is reached this way.
 
+Most children are isomorphic to another child, and a cheap test drops about
+half of them before their canonical form is computed. The key of a minimal
+element e is (|up(e)|, sorted |up(j)| over the strict upper bounds j of e),
+which no isomorphism changes. A child is kept only when its new element's
+key is at least the key of every other minimal element; ties are kept. This
+loses no structure: in any L, delete a minimal element m of largest key.
+What is left is a join-semilattice one size smaller, so some parent of the
+previous level is isomorphic to it, and putting m back is one of that
+parent's extensions, whose new element has the largest key and is kept.
+The set of canonical codes still removes every remaining duplicate, and
+every extension counts as a candidate whether or not the test dropped it.
+
 bruteforce_semilattices is the independent oracle for small n: it scans
 all labeled partial orders directly.
 """
@@ -25,7 +37,7 @@ BRUTE_ENUM_MAX_N = 5
 class EnumerationRun:
     n: int
     structures: tuple   # canonical representatives sorted by canonical code
-    stats: dict         # candidates generated, duplicates rejected
+    stats: dict         # candidates generated, key-tested or not; duplicates rejected
     codes: tuple        # canonical code of each structure, strictly ascending
 
 
@@ -62,11 +74,40 @@ def _upclosed_extensions(parent_up):
     return out
 
 
+def _minimal_key(strict_up, sizes):
+    """(|up-set|, sorted up-set sizes of the strict upper bounds) of a minimal element."""
+    above = []
+    m = strict_up
+    while m:
+        above.append(sizes[(m & -m).bit_length() - 1])
+        m &= m - 1
+    above.sort()
+    return (len(above) + 1, tuple(above))
+
+
 def _expand_parent(parent_up):
-    """Canonical codes of all children of one parent."""
+    """(number of children, canonical codes of the children that pass the key test).
+
+    A child is canonicalised only when its new element's key is at least the
+    key of every other minimal element of the child. The new element lies
+    below the parent's elements and above none, so their up-sets, and with
+    them the keys, are the parent's; the child's other minimal elements are
+    the parent's minimal elements outside u.
+    """
     pn = len(parent_up)
-    return [canonical_form(Poset(parent_up + (u | (1 << pn),))).code
-            for u in _upclosed_extensions(parent_up)]
+    sizes = [up.bit_count() for up in parent_up]
+    covered = 0   # elements strictly above some element
+    for i, up in enumerate(parent_up):
+        covered |= up & ~(1 << i)
+    minimal_keys = [(1 << i, _minimal_key(parent_up[i] & ~(1 << i), sizes))
+                    for i in range(pn) if not covered >> i & 1]
+    extensions = _upclosed_extensions(parent_up)
+    kept = []
+    for u in extensions:
+        key = _minimal_key(u, sizes)
+        if all(key >= other for bit, other in minimal_keys if not u & bit):
+            kept.append(canonical_form(Poset(parent_up + (u | (1 << pn),))).code)
+    return len(extensions), kept
 
 
 def enumerate_semilattices(n, workers=1):
@@ -91,9 +132,9 @@ def enumerate_semilattices(n, workers=1):
                        else map(_expand_parent, parent_ups))
             level = set()
             candidates = 0
-            for batch in batches:
-                candidates += len(batch)
-                level.update(batch)
+            for extensions, kept in batches:
+                candidates += extensions
+                level.update(kept)
     return _sorted_run(n, level, candidates)
 
 

@@ -251,24 +251,34 @@ class CanonicalForm:
 def _refined_invariants(p):
     """Comparable per-element invariant vectors, two refinement rounds."""
     n = p.n
-    dn = p.down
     up = p.up
+    strict_up = [up[i] & ~(1 << i) for i in range(n)]
+    above = []
+    below = [[] for _ in range(n)]
     cover_up = [0] * n
     cover_dn = [0] * n
-    for i, j in p.covers:
-        cover_up[i] += 1
-        cover_dn[j] += 1
-    inv = [
-        (bin(up[i]).count("1"), bin(dn[i]).count("1"), cover_dn[i], cover_up[i])
-        for i in range(n)
-    ]
+    for i in range(n):
+        members = []
+        reach = 0   # elements strictly above some strict upper bound of i
+        m = strict_up[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            members.append(j)
+            below[j].append(i)
+            reach |= strict_up[j]
+        above.append(members)
+        for j in members:
+            if not reach >> j & 1:
+                cover_up[i] += 1
+                cover_dn[j] += 1
+    inv = [(len(above[i]) + 1, len(below[i]) + 1, cover_dn[i], cover_up[i])
+           for i in range(n)]
     for _ in range(2):
-        nxt = []
-        for i in range(n):
-            below = sorted(inv[j] for j in range(n) if j != i and dn[i] >> j & 1)
-            above = sorted(inv[j] for j in range(n) if j != i and up[i] >> j & 1)
-            nxt.append((inv[i], tuple(below), tuple(above)))
-        inv = nxt
+        inv = [(inv[i],
+                tuple(sorted([inv[j] for j in below[i]])),
+                tuple(sorted([inv[j] for j in above[i]])))
+               for i in range(n)]
     return inv
 
 

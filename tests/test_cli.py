@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -94,6 +95,15 @@ def test_enumerate_writes_files(capsys, tmp_path):
         doc = json.loads((out_dir / fname).read_text())
         structure, _ = structure_from_dict(doc)
         assert doc["canonical_code"] == canonical_form(structure).code.hex()
+
+
+def test_enumerate_elapsed_ignores_wall_clock(capsys, monkeypatch):
+    # the wall clock can be set back during a run; the elapsed time must not follow it
+    clock = itertools.count(1000.0, -60.0)
+    monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+    code, out, _ = run(capsys, "enumerate", "--n", "4")
+    assert code == 0
+    assert json.loads(out)["elapsed_seconds"] >= 0
 
 
 def test_rank_json(capsys):

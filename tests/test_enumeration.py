@@ -4,11 +4,18 @@ import pytest
 
 from subsemi import enumeration
 from subsemi.catalog import build_named, chain
-from subsemi.enumeration import bruteforce_semilattices, enumerate_semilattices
+from subsemi.enumeration import (
+    _upclosed_extensions,
+    bruteforce_semilattices,
+    enumerate_semilattices,
+)
 from subsemi.errors import SizeLimitError
-from subsemi.order import are_isomorphic, canonical_form
+from subsemi.order import Poset, are_isomorphic, canonical_form, poset_from_code
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 53, 7: 222, 8: 1078, 9: 5994}
+# every extension of every parent counts as a candidate, whether or not the
+# key test lets it reach canonical_form
+KNOWN_CANDIDATES = {1: 1, 2: 1, 3: 2, 4: 7, 5: 27, 6: 116, 7: 541, 8: 2861, 9: 16747}
 
 
 def codes(run):
@@ -19,8 +26,27 @@ def codes(run):
 def test_counts(n, enumerated):
     run = enumerated(n)
     assert len(run.structures) == KNOWN_COUNTS[n]
-    assert run.stats["candidates"] >= len(run.structures)
+    assert run.stats["candidates"] == KNOWN_CANDIDATES[n]
     assert run.stats["duplicates"] == run.stats["candidates"] - len(run.structures)
+
+
+@pytest.mark.slow
+def test_counts_n10_in_parallel():
+    # adding a bottom turns the 10-element join-semilattices into the
+    # 11-element lattices, and OEIS A006966 gives 37,622 of those
+    run = enumerate_semilattices(10, workers=2)
+    assert len(run.structures) == 37622
+    assert run.stats == {"candidates": 109311, "duplicates": 71689}
+
+
+def test_key_test_drops_only_duplicates(enumerated):
+    # an unfiltered loop: every extension of every parent, canonicalised
+    level = {canonical_form(Poset((1,))).code}
+    for n in range(2, 9):
+        parents = [poset_from_code(code).up for code in level]
+        level = {canonical_form(Poset(up + (u | 1 << (n - 1),))).code
+                 for up in parents for u in _upclosed_extensions(up)}
+        assert enumerated(n).codes == tuple(sorted(level))
 
 
 def test_structures_are_pairwise_nonisomorphic():

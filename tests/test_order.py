@@ -3,11 +3,12 @@ import time
 
 import pytest
 
-from subsemi.catalog import build_named, chain, glued_sum
+from subsemi.catalog import build_named, catalog_ids, chain, glued_sum
 from subsemi.enumeration import _upclosed_extensions
 from subsemi.errors import JoinMissingError, PosetAxiomError, SizeLimitError
 from subsemi.order import (
     Poset,
+    _refined_invariants,
     are_isomorphic,
     canonical_form,
     partial_meet,
@@ -140,19 +141,60 @@ def test_canonical_idempotent(all_structures):
         assert canonical_form(decoded).code == cf.code
 
 
-def test_code_decodes_to_the_canonical_poset(enumerated):
-    # every candidate generation meets at n <= 7, plus K_13 (an antichain of
-    # 13 below a top) and a 40-chain, whose rows are longer than a byte
+def _generated_candidates(enumerated):
+    """Every candidate generation meets at 2 <= n <= 7, filtered or not."""
     posets = []
     for n in range(2, 8):
         for parent in enumerated(n - 1).structures:
             up = parent.up
             posets += [Poset(up + (u | 1 << (n - 1),)) for u in _upclosed_extensions(up)]
+    return posets
+
+
+def test_code_decodes_to_the_canonical_poset(enumerated):
+    # every generated candidate, plus K_13 (an antichain of 13 below a top)
+    # and a 40-chain, whose rows are longer than a byte
+    posets = _generated_candidates(enumerated)
     posets.append(Poset(tuple((1 << i) | (1 << 13) for i in range(13)) + (1 << 13,)))
     posets.append(chain(40))
     for p in posets:
         cf = canonical_form(p)
         assert poset_from_code(cf.code) == p.relabel(cf.perm)
+
+
+def _reference_invariants(p):
+    """Reference for _refined_invariants written directly from its definition:
+    covers from Poset.covers, and each element scans all n elements in each
+    refinement round."""
+    n = p.n
+    dn = p.down
+    up = p.up
+    cover_up = [0] * n
+    cover_dn = [0] * n
+    for i, j in p.covers:
+        cover_up[i] += 1
+        cover_dn[j] += 1
+    inv = [
+        (bin(up[i]).count("1"), bin(dn[i]).count("1"), cover_dn[i], cover_up[i])
+        for i in range(n)
+    ]
+    for _ in range(2):
+        nxt = []
+        for i in range(n):
+            below = sorted(inv[j] for j in range(n) if j != i and dn[i] >> j & 1)
+            above = sorted(inv[j] for j in range(n) if j != i and up[i] >> j & 1)
+            nxt.append((inv[i], tuple(below), tuple(above)))
+        inv = nxt
+    return inv
+
+
+def test_refined_invariants_match_reference(enumerated):
+    posets = _generated_candidates(enumerated)
+    structures = [build_named(id_).structure for id_ in catalog_ids()]
+    # the case table's partial algebras have no order to take invariants of
+    posets += [s for s in structures if isinstance(s, Poset)]
+    for p in posets:
+        assert _refined_invariants(p) == _reference_invariants(p)
 
 
 def test_canonical_distinguishes():
