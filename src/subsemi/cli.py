@@ -19,7 +19,7 @@ from subsemi.counting import (
     count_subuniverses_bruteforce,
     count_subuniverses_checked,
 )
-from subsemi.enumeration import enumerate_semilattices
+from subsemi.enumeration import enumerate_semilattices, process_pool
 from subsemi.errors import ConfigError, SizeLimitError, SubsemiError, UnknownStructureError
 from subsemi.jsonio import (
     FormatError,
@@ -49,6 +49,15 @@ def enumeration_ceiling():
     return ceiling
 
 
+def _usable_cpus():
+    """The CPUs this process may run on (taskset or a container cpuset can
+    allow fewer than the machine has), or the machine's count where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_settings(args):
     """Range-check the settings a command takes and fill in their defaults.
 
@@ -59,7 +68,7 @@ def _check_settings(args):
     if "ceiling" in given and args.ceiling is None:
         args.ceiling = enumeration_ceiling()
     if "workers" in given and args.workers is None:
-        args.workers = os.cpu_count() or 1
+        args.workers = _usable_cpus()
     for name in ("ceiling", "k", "workers"):
         value = given.get(name)
         if value is not None and value < 1:
@@ -144,18 +153,19 @@ def cmd_enumerate(args):
         with _writing_out(args.out):
             outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    run = enumerate_semilattices(args.n, workers=args.workers)
+    with process_pool(args.workers) as pool:
+        run = enumerate_semilattices(args.n, pool)
     elapsed = time.perf_counter() - t0
     manifest = {
         "n": run.n,
-        "count": len(run.structures),
+        "count": len(run.codes),
         "stats": run.stats,
         "elapsed_seconds": round(elapsed, 3),
         "files": [],
     }
     if args.as_lattice_count:
         # adding a new bottom is a bijection onto the lattices one size up
-        manifest["lattices_on_n_plus_1"] = len(run.structures)
+        manifest["lattices_on_n_plus_1"] = len(run.codes)
     if outdir:
         with _writing_out(args.out):
             for i, (sl, code) in enumerate(zip(run.structures, run.codes)):

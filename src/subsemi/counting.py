@@ -161,7 +161,7 @@ def _count_clauses(n, clauses, decided_mask, memo):
     for ant, cons in clauses:
         touched |= ant | cons
     outside = free & ~touched
-    mult = 1 << bin(outside).count("1")
+    mult = 1 << outside.bit_count()
     free &= touched
     if not clauses:
         return mult
@@ -258,4 +258,4 @@ def sigma_trace_bound(L, subset, k=DEFAULT_K):
     """Upper bound t * 2^(k-|H|) where t counts distinct traces H & S over Sub(L)."""
     h = _as_mask(L.n, subset)
     traces = {s & h for s in enumerate_subuniverses(L)}
-    return Fraction(len(traces)) * Fraction(2) ** (k - bin(h).count("1"))
+    return Fraction(len(traces)) * Fraction(2) ** (k - h.bit_count())

@@ -25,6 +25,7 @@ all labeled partial orders directly.
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from subsemi.errors import SizeLimitError
@@ -36,9 +37,24 @@ BRUTE_ENUM_MAX_N = 5
 @dataclass(frozen=True)
 class EnumerationRun:
     n: int
-    structures: tuple   # canonical representatives sorted by canonical code
     stats: dict         # candidates generated, key-tested or not; duplicates rejected
     codes: tuple        # canonical code of each structure, strictly ascending
+
+    @cached_property
+    def structures(self):
+        """The JoinSemilattice each code encodes, in code order, built on first use."""
+        return tuple(to_semilattice(poset_from_code(code)) for code in self.codes)
+
+
+def process_pool(workers):
+    """The one process pool of a run: a pool of `workers` processes, or a null
+    context yielding None when workers is 1 and all work stays in this process."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def pool_map(pool, fn, items, chunksize=8):
+    """fn over items in order, in the pool's workers, or here when pool is None."""
+    return pool.map(fn, items, chunksize=chunksize) if pool else map(fn, items)
 
 
 def _upclosed_extensions(parent_up):
@@ -110,42 +126,36 @@ def _expand_parent(parent_up):
     return len(extensions), kept
 
 
-def enumerate_semilattices(n, workers=1):
+def enumerate_semilattices(n, pool=None):
     """All n-element join-semilattices up to isomorphism, deterministically ordered.
 
     Each level is kept as the set of its canonical codes; the next level's
-    parents are decoded from them in sorted order, and only level n is built
-    into JoinSemilattices. Nothing is kept between calls, and workers > 1 runs
-    every level in one process pool.
+    parents are decoded from them in sorted order. The run holds level n's
+    sorted codes, and its structures are built from them on first use.
+    Nothing is kept between calls. With a pool from process_pool, every level
+    runs in that pool's workers.
     """
     if n < 1:
         raise SizeLimitError("n must be at least 1")
     level = {canonical_form(Poset((1,))).code}
     candidates = 1
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        for _ in range(2, n + 1):
-            parent_ups = [poset_from_code(code).up for code in sorted(level)]
-            # batches are consumed as they arrive: holding a whole level's
-            # batches at once raises the peak memory of a run
-            batches = (pool.map(_expand_parent, parent_ups, chunksize=8) if pool
-                       else map(_expand_parent, parent_ups))
-            level = set()
-            candidates = 0
-            for extensions, kept in batches:
-                candidates += extensions
-                level.update(kept)
+    for _ in range(2, n + 1):
+        parent_ups = [poset_from_code(code).up for code in sorted(level)]
+        level = set()
+        candidates = 0
+        # batches are consumed as they arrive: holding a whole level's
+        # batches at once raises the peak memory of a run
+        for extensions, kept in pool_map(pool, _expand_parent, parent_ups):
+            candidates += extensions
+            level.update(kept)
     return _sorted_run(n, level, candidates)
 
 
 def _sorted_run(n, codes, candidates):
     """The EnumerationRun of a level from the set of its canonical codes."""
-    codes = tuple(sorted(codes))
-    structures = tuple(to_semilattice(poset_from_code(code)) for code in codes)
     return EnumerationRun(
-        n, structures,
-        {"candidates": candidates, "duplicates": candidates - len(codes)},
-        codes,
+        n, {"candidates": candidates, "duplicates": candidates - len(codes)},
+        tuple(sorted(codes)),
     )
 
 

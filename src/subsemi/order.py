@@ -249,7 +249,8 @@ class CanonicalForm:
 
 
 def _refined_invariants(p):
-    """Comparable per-element invariant vectors, two refinement rounds."""
+    """Comparable per-element invariant vectors, two refinement rounds, and
+    each element's strict lower elements in ascending order."""
     n = p.n
     up = p.up
     strict_up = [up[i] & ~(1 << i) for i in range(n)]
@@ -279,7 +280,7 @@ def _refined_invariants(p):
                 tuple(sorted([inv[j] for j in below[i]])),
                 tuple(sorted([inv[j] for j in above[i]])))
                for i in range(n)]
-    return inv
+    return inv, below
 
 
 def _pack_code(p):
@@ -309,7 +310,7 @@ def canonical_form(p):
     n = p.n
     if n > 255:
         raise SizeLimitError(f"canonical codes hold n in one byte, so n <= 255; got {n}")
-    inv = _refined_invariants(p)
+    inv, below = _refined_invariants(p)
     order = sorted(range(n), key=lambda i: (inv[i], i))
     # position t may only hold elements from the invariant class assigned to t
     slot_class = []
@@ -329,7 +330,7 @@ def canonical_form(p):
     prev_twin = [None] * n
     last_of = {}
     for e in range(n):
-        key = (p.up[e] & ~(1 << e), p.down[e] & ~(1 << e))
+        key = (p.up[e] & ~(1 << e), tuple(below[e]))
         prev_twin[e] = last_of.get(key)
         last_of[key] = e
 

@@ -20,7 +20,8 @@ from subsemi.counting import (
     sigma,
     sigma_trace_bound,
 )
-from subsemi.enumeration import enumerate_semilattices
+from subsemi.enumeration import enumerate_semilattices, pool_map, process_pool
+from subsemi.order import poset_from_code, to_semilattice
 from subsemi.randomgen import random_semilattice
 
 CLAIMS = (
@@ -61,11 +62,24 @@ class ClaimCheck:
         return self.status == "verified"
 
 
+def _checked_count(code):
+    """|Sub| of the semilattice a canonical code encodes, by both counting
+    algorithms; raises when they disagree, in a pool's worker or here."""
+    return count_subuniverses_checked(to_semilattice(poset_from_code(code))).count
+
+
 def _rank_data(n, workers=1):
-    run = enumerate_semilattices(n, workers=workers)
-    by_value = {}
-    for sl, code in zip(run.structures, run.codes):
-        by_value.setdefault(count_subuniverses_checked(sl).count, []).append(code)
+    # generation and the counts share one pool, so each code of level n is
+    # decoded and counted in a worker; map keeps code order, so the report is
+    # the same for any worker count
+    with process_pool(workers) as pool:
+        run = enumerate_semilattices(n, pool)
+        # a count takes well under a millisecond, so chunks are larger than
+        # generation's to keep the hand-off small beside the work
+        counts = pool_map(pool, _checked_count, run.codes, chunksize=64)
+        by_value = {}
+        for code, count in zip(run.codes, counts):
+            by_value.setdefault(count, []).append(code)
     values = tuple(sorted(by_value, reverse=True))
     witnesses = {v: tuple(sorted(c.hex() for c in by_value[v])) for v in values}
     return values, witnesses

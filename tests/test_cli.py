@@ -180,6 +180,24 @@ BAD_SETTINGS = [
 ]
 
 
+def test_workers_default_counts_the_usable_cpus(monkeypatch):
+    # a process pinned to one CPU (taskset, a container cpuset) gets one
+    # worker, however many CPUs the machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    args = cli.build_parser().parse_args(["rank", "--n", "3"])
+    cli._check_settings(args)
+    assert args.workers == 1
+
+
+def test_workers_default_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    args = cli.build_parser().parse_args(["verify-theorem", "--n", "3"])
+    cli._check_settings(args)
+    assert args.workers == 3
+
+
 @pytest.mark.parametrize("env, argv, message", BAD_SETTINGS)
 def test_bad_setting_exits_2(capsys, monkeypatch, env, argv, message):
     for name, value in env.items():
@@ -235,7 +253,7 @@ def test_verify_theorem_table_prints_witness_covers(capsys, monkeypatch, enumera
     results = []
     real_verify = cli.verifier.verify_theorem
 
-    def counted(size, workers=1):
+    def counted(size, pool=None):
         calls.append(size)
         return enumerated(size)
 

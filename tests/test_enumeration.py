@@ -34,7 +34,8 @@ def test_counts(n, enumerated):
 def test_counts_n10_in_parallel():
     # adding a bottom turns the 10-element join-semilattices into the
     # 11-element lattices, and OEIS A006966 gives 37,622 of those
-    run = enumerate_semilattices(10, workers=2)
+    with enumeration.process_pool(2) as pool:
+        run = enumerate_semilattices(10, pool)
     assert len(run.structures) == 37622
     assert run.stats == {"candidates": 109311, "duplicates": 71689}
 
@@ -121,7 +122,8 @@ def test_worker_determinism(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
-    parallel = enumerate_semilattices(6, workers=2)
+    with enumeration.process_pool(2) as pool:
+        parallel = enumerate_semilattices(6, pool)
     assert len(pools) == 1   # one for every level of the run
     serial = enumerate_semilattices(6)
     assert len(pools) == 1

@@ -57,3 +57,24 @@ def test_no_poset_attribute():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "poset"]
     assert found == []
+
+
+def test_one_function_constructs_the_process_pool():
+    # a run opens one pool and hands it on; a second constructor call would
+    # be a second pool
+    sites = []
+
+    def visit(path, node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("ProcessPoolExecutor", "Pool"):
+                sites.append(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, owner)
+
+    for path, tree in _package_modules():
+        visit(path, tree, "<module>")
+    assert sites == ["enumeration.py:process_pool"]

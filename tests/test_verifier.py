@@ -1,9 +1,11 @@
 import json
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from subsemi import verifier
+from subsemi import analysis, counting, order, verifier
 from subsemi.catalog import build_named, catalog_ids
 from subsemi.order import canonical_form
 
@@ -68,7 +70,7 @@ def shared_runs(enumerated, monkeypatch):
     """Let verifier.rank rank the suite's shared runs instead of generating
     each size again."""
     monkeypatch.setattr(verifier, "enumerate_semilattices",
-                        lambda n, workers=1: enumerated(n))
+                        lambda n, pool=None: enumerated(n))
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -155,3 +157,41 @@ def test_no_count_in_excluded_interval_n6():
     report = verifier.rank(6)
     inside = [v for v in report.values if 48 < v < 50]
     assert inside == [49]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cross_check_guards_pooled_counts(monkeypatch, workers):
+    # the patch is in place before rank opens its pool, so forked workers
+    # count with the wrong split counter too, and their error reaches rank
+    real = counting.count_subuniverses_split
+
+    def off_by_one(a, pivot, k=counting.DEFAULT_K):
+        return SimpleNamespace(count=real(a, pivot, k).count + 1)
+
+    monkeypatch.setattr(counting, "count_subuniverses_split", off_by_one)
+    with pytest.raises(AssertionError, match="counting algorithms disagree"):
+        verifier.rank(6, workers=workers)
+
+
+def test_pooled_rank_builds_no_structure_here(monkeypatch):
+    # with workers, level n is decoded and counted in the pool; the family
+    # members are built before the patch, so any call recorded in this
+    # process would build an enumerated structure
+    for core in analysis.FAMILY_CORES:
+        analysis.family_codes(core, 7)
+    real = order.to_semilattice
+    built = []
+
+    def recorded(p):
+        built.append(p.n)
+        return real(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "subsemi" and getattr(module, "to_semilattice", None) is real:
+            monkeypatch.setattr(module, "to_semilattice", recorded)
+    pooled = verifier.rank(7, workers=2)
+    assert built == []
+    # the recorder sees the serial run build every structure of the level
+    serial = verifier.rank(7, workers=1)
+    assert built == [7] * 222
+    assert pooled == serial
