@@ -22,7 +22,6 @@ from subsemi.counting import (
     count_subuniverses_bruteforce,
     count_subuniverses_split,
     enumerate_subuniverses,
-    is_subuniverse,
     sigma,
     sigma_trace_bound,
     split_parts,
@@ -38,9 +37,7 @@ from subsemi.order import (
     Poset,
     are_isomorphic,
     canonical_form,
-    partial_meet,
     to_semilattice,
-    validate_poset,
 )
 from subsemi.verifier import rank, verify_lemmas, verify_theorem
 
@@ -53,8 +50,7 @@ __all__ = [
     "bruteforce_semilattices", "canonical_form", "catalog_ids", "chain",
     "count_subuniverses_bruteforce", "count_subuniverses_split",
     "enumerate_semilattices", "enumerate_subuniverses", "glued_sum",
-    "is_subuniverse", "matches_family", "narrows", "ordinal_sum",
-    "partial_meet", "rank", "reconstruct_figure_structures", "sigma",
-    "sigma_trace_bound", "split_parts", "to_semilattice", "validate_poset",
-    "verify_lemmas", "verify_theorem",
+    "matches_family", "narrows", "ordinal_sum", "rank",
+    "reconstruct_figure_structures", "sigma", "sigma_trace_bound",
+    "split_parts", "to_semilattice", "verify_lemmas", "verify_theorem",
 ]

@@ -70,31 +70,23 @@ def case_partial_algebra(names, edges, named_joins):
     covers = [(idx[e[0]], idx[e[1]]) for e in edges]
     implied = list(covers)
     named = []
+    joins = {}
     for a, b, r in named_joins:
         p, q, w = idx[a], idx[b], idx[r]
         named.append((p, q, w))
+        key = frozenset((p, q))
+        if joins.get(key, w) != w:
+            raise ValueError("pair named twice with different values")
+        joins[key] = w
         if w not in (p, q):
             implied += [(p, w), (q, w)]
-    up = [1 << i for i in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for a, b in implied:
-            merged = up[a] | up[b]
-            if merged != up[a]:
-                up[a] = merged
-                changed = True
+    # conflicting names are reported before the closure rejects a cycle
+    up = Poset.from_covers(n, implied).up
 
     def lt(i, j):
         return i != j and bool(up[i] >> j & 1)
 
     jvals = {w for _, _, w in named}
-    joins = {}
-    for p, q, w in named:
-        key = frozenset((p, q))
-        if joins.get(key, w) != w:
-            raise ValueError("pair named twice with different values")
-        joins[key] = w
     for p, q, w in named:
         if up[w] != 1 << w:
             continue  # only the maximal join value inherits
@@ -126,10 +118,6 @@ class NamedStructure:
     reported_sigma5: tuple               # reference values; >1 entry = contradiction
     tolerance: Fraction               # 0 for exact reports, 1/10 for rounded ones
     provenance: str
-
-
-def _dec(s):
-    return Fraction(s)
 
 
 # (names, edges, named joins, expected count, reported sigma values, tolerance)
@@ -196,7 +184,7 @@ def _total(id_, covers_, n, labels, expected_count, reported, provenance):
     return NamedStructure(
         id=id_, structure=sl, labels=tuple(labels),
         expected_sigma5=Fraction(expected_count) * Fraction(2) ** (5 - n),
-        reported_sigma5=tuple(_dec(v) for v in reported),
+        reported_sigma5=tuple(Fraction(v) for v in reported),
         tolerance=Fraction(0), provenance=provenance,
     )
 
@@ -230,7 +218,7 @@ def build_named(id_):
         sl = glued_sum(build_named("H3").structure, build_named("B4").structure)
         return NamedStructure(
             id="H3_B4", structure=sl, labels=("c", "d", "y", "a", "b", "x"),
-            expected_sigma5=Fraction(49, 2), reported_sigma5=(_dec("24.5"),),
+            expected_sigma5=Fraction(49, 2), reported_sigma5=(Fraction("24.5"),),
             tolerance=Fraction(0),
             provenance="glued sum of the two-atom top and the diamond",
         )
@@ -245,7 +233,7 @@ def build_named(id_):
         return NamedStructure(
             id=id_, structure=pa, labels=tuple(names),
             expected_sigma5=Fraction(count) * Fraction(2) ** (5 - len(names)),
-            reported_sigma5=tuple(_dec(v) for v in reported),
+            reported_sigma5=tuple(Fraction(v) for v in reported),
             tolerance=Fraction(tol), provenance=prov,
         )
     if id_ in _FIGURE_TARGETS:
@@ -256,7 +244,7 @@ def build_named(id_):
         return NamedStructure(
             id=id_, structure=result.matches[0].structure,
             labels=tuple(str(i) for i in range(result.matches[0].structure.n)),
-            expected_sigma5=_dec(val), reported_sigma5=(_dec(val),),
+            expected_sigma5=Fraction(val), reported_sigma5=(Fraction(val),),
             tolerance=Fraction(tol),
             provenance=f"reconstructed by decomposition search; {note}",
         )

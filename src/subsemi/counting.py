@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from subsemi import kernel
 from subsemi.errors import SizeLimitError
-from subsemi.order import JoinSemilattice
 
 BRUTE_MAX_N = 25
 ENUM_MAX_N = 20
@@ -73,24 +72,6 @@ class SubuniverseReport:
                              f"at n={self.n}, k={self.k}")
 
 
-def _as_mask(n, subset):
-    if isinstance(subset, int):
-        return subset
-    m = 0
-    for e in subset:
-        m |= 1 << e
-    return m
-
-
-def is_subuniverse(a, subset):
-    """True iff every defined join with both arguments in the subset lands in it."""
-    s = _as_mask(a.n, subset)
-    for pm, rb in a.closure_constraints():
-        if s & pm == pm and not s & rb:
-            return False
-    return True
-
-
 def sigma_value(count, n, k=DEFAULT_K):
     return Fraction(count) * Fraction(2) ** (k - n)
 
@@ -116,11 +97,6 @@ def sigma(a, k=DEFAULT_K):
 
 
 # -- recursive case-split counter (independent second algorithm) -------
-
-
-def _clauses_of(a):
-    """Normalize closure constraints into (antecedent_mask, consequent_bit) clauses."""
-    return tuple(sorted(a.closure_constraints()))
 
 
 def _propagate(clauses, in_mask, out_mask):
@@ -186,7 +162,8 @@ def _count_clauses(n, clauses, decided_mask, memo):
 
 def _count_with(a, in_mask=0, out_mask=0, memo=None):
     """Count closed subsets with some elements forced in/out, by case splitting."""
-    state = _propagate(_clauses_of(a), in_mask, out_mask)
+    # the closure constraints, as (antecedent_mask, consequent_bit) clauses
+    state = _propagate(sorted(a.closure_constraints()), in_mask, out_mask)
     if state is None:
         return 0
     clauses, inm, outm = state
@@ -233,17 +210,10 @@ class SplitParts:
         return self.avoiding + self.containing_disjoint + self.containing_meeting
 
 
-def split_parts(a, pivot, rest_mask=None):
-    """Counts (pivot not in S; pivot in S and S disjoint from rest; pivot in S meeting rest).
-
-    rest defaults to every element except the pivot and, for total
-    semilattices, the top.
-    """
-    full = (1 << a.n) - 1
-    if rest_mask is None:
-        rest_mask = full & ~(1 << pivot)
-        if isinstance(a, JoinSemilattice):
-            rest_mask &= ~(1 << a.top)
+def split_parts(a, pivot):
+    """Counts (pivot not in S; pivot in S and S disjoint from rest; pivot in S meeting rest)
+    for a semilattice a, where rest is every element except the pivot and the top."""
+    rest_mask = ((1 << a.n) - 1) & ~(1 << pivot) & ~(1 << a.top)
     memo = {}
     avoiding = _count_with(a, out_mask=1 << pivot, memo=memo)
     disjoint = _count_with(a, in_mask=1 << pivot, out_mask=rest_mask, memo=memo)
@@ -255,7 +225,7 @@ def split_parts(a, pivot, rest_mask=None):
 
 
 def sigma_trace_bound(L, subset, k=DEFAULT_K):
-    """Upper bound t * 2^(k-|H|) where t counts distinct traces H & S over Sub(L)."""
-    h = _as_mask(L.n, subset)
-    traces = {s & h for s in enumerate_subuniverses(L)}
-    return Fraction(len(traces)) * Fraction(2) ** (k - h.bit_count())
+    """Upper bound t * 2^(k-|H|) where t counts distinct traces H & S over Sub(L);
+    subset is the bitmask of H."""
+    traces = {s & subset for s in enumerate_subuniverses(L)}
+    return Fraction(len(traces)) * Fraction(2) ** (k - subset.bit_count())

@@ -12,7 +12,7 @@ the var[k] over its low result bits, on the blocks whose h holds its high
 pair bits and misses its high result bits. One block is one Python integer
 of 2^B bits, so memory stays bounded whatever n is.
 
-_pycount is the plain scan this kernel is tested against.
+The plain scan this kernel is tested against is tests/_pycount.py.
 """
 
 from itertools import compress

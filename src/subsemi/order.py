@@ -105,61 +105,20 @@ class Poset:
         return f"{type(self).__name__}(n={self.n}, covers={list(self.covers)})"
 
 
-def validate_poset(le):
-    """Check a square boolean relation for the poset axioms; return a Poset.
-
-    Raises PosetAxiomError carrying the witnessing pair/triple.
-    """
-    n = len(le)
-    for row in le:
-        if len(row) != n:
-            raise PosetAxiomError("squareness", (len(row), n))
-    if n == 0:
-        raise PosetAxiomError("nonempty", ())
-    for i in range(n):
-        if not le[i][i]:
-            raise PosetAxiomError("reflexivity", (i,))
-    for i in range(n):
-        for j in range(n):
-            if i != j and le[i][j] and le[j][i]:
-                raise PosetAxiomError("antisymmetry", (i, j))
-    for i in range(n):
-        for j in range(n):
-            if not le[i][j]:
-                continue
-            for k in range(n):
-                if le[j][k] and not le[i][k]:
-                    raise PosetAxiomError("transitivity", (i, j, k))
-    up = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if le[i][j]:
-                m |= 1 << j
-        up.append(m)
-    return Poset(up)
-
-
 class JoinSemilattice(Poset):
-    """A poset in which every pair has a least upper bound, with join table."""
+    """A poset in which every pair has a least upper bound.
 
-    __slots__ = ("join", "top")
+    nontrivial_joins holds (i, j, k) with k = i v j for each incomparable
+    pair i < j, in ascending (i, j) order; a comparable pair joins to its
+    larger element. These joins are the closure constraints.
+    """
 
-    def __init__(self, up, join, top):
+    __slots__ = ("nontrivial_joins", "top")
+
+    def __init__(self, up, nontrivial_joins, top):
         super().__init__(up)
-        self.join = join      # n x n tuple of element indices
+        self.nontrivial_joins = nontrivial_joins
         self.top = top
-
-    @cached_property
-    def nontrivial_joins(self):
-        """(i, j, k) for incomparable pairs i < j with join k; the closure constraints."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                k = self.join[i][j]
-                if k != i and k != j:
-                    out.append((i, j, k))
-        return tuple(out)
 
     def closure_constraints(self):
         """Bitmask constraint list [(pair_mask, result_bit)] for the counting kernels."""
@@ -195,41 +154,29 @@ class JoinSemilattice(Poset):
 
 
 def to_semilattice(p):
-    """Compute the join table of a poset, or raise JoinMissingError(i, j)."""
+    """The join-semilattice on a poset's order, with the join of each
+    incomparable pair; raises JoinMissingError(i, j) for the first pair
+    i < j that has no least upper bound."""
     n = p.n
-    join = []
+    up = p.up
+    joins = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            common = p.up[i] & p.up[j]
-            least = None
+        for j in range(i + 1, n):
+            if up[i] >> j & 1 or up[j] >> i & 1:
+                continue
+            common = up[i] & up[j]
             m = common
             while m:
                 k = (m & -m).bit_length() - 1
-                if common & p.up[k] == common:
-                    least = k
+                if common & up[k] == common:
+                    joins.append((i, j, k))
                     break
                 m &= m - 1
-            if least is None:
+            else:
                 raise JoinMissingError(i, j)
-            row.append(least)
-        join.append(tuple(row))
     # with every pair joined, the join of all elements is the one maximal element
-    top = next(i for i in range(n) if p.up[i] == 1 << i)
-    return JoinSemilattice(p.up, tuple(join), top)
-
-
-def partial_meet(s, i, j):
-    """Greatest lower bound in a join-semilattice, or None when it does not exist."""
-    dn = s.down
-    common = dn[i] & dn[j]
-    m = common
-    while m:
-        k = (m & -m).bit_length() - 1
-        if common & dn[k] == common:
-            return k
-        m &= m - 1
-    return None
+    top = next(i for i in range(n) if up[i] == 1 << i)
+    return JoinSemilattice(up, tuple(joins), top)
 
 
 # -- canonical forms ---------------------------------------------------

@@ -1,6 +1,5 @@
-"""Seeded random structures for property checks and randomized suites."""
+"""Seeded random semilattices for the lemma property suites."""
 
-from subsemi.counting import PartialBinaryAlgebra
 from subsemi.enumeration import _upclosed_extensions
 from subsemi.order import Poset, to_semilattice
 
@@ -13,14 +12,3 @@ def random_semilattice(rng, n):
         u = rng.choice(choices)
         up = up + (u | (1 << len(up)),)
     return to_semilattice(Poset(up))
-
-
-def random_partial_algebra(rng, n, max_joins=None):
-    """Random constraint system: distinct pairs with arbitrary results."""
-    if max_joins is None:
-        max_joins = 2 * n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rng.shuffle(pairs)
-    m = rng.randint(0, min(max_joins, len(pairs)))
-    joins = [(i, j, rng.randrange(n)) for i, j in pairs[:m]]
-    return PartialBinaryAlgebra(n, joins)

@@ -57,10 +57,6 @@ class ClaimCheck:
     missing_witnesses: tuple = ()
     notes: str = ""
 
-    @property
-    def passed(self):
-        return self.status == "verified"
-
 
 def _checked_count(code):
     """|Sub| of the semilattice a canonical code encodes, by both counting

@@ -2,8 +2,7 @@
 
 A constraint (pair_mask, result_mask) means: any subset containing all of
 pair_mask must also intersect result_mask. This is the plain 2^n loop the
-bit-parallel kernel in subsemi.kernel is tested against; nothing else in the
-package calls it.
+bit-parallel kernel in subsemi.kernel is tested against.
 """
 
 

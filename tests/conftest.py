@@ -9,6 +9,7 @@ import pytest
 
 from subsemi.analysis import family_members
 from subsemi.catalog import build_named, chain, glued_sum
+from subsemi.counting import PartialBinaryAlgebra
 from subsemi.enumeration import enumerate_semilattices
 from subsemi.order import Poset, to_semilattice
 
@@ -24,6 +25,17 @@ def _broom_count(m):
     sets holding the pendant, which must hold the top too unless the pendant
     stands alone (2^(m-2) + 1)."""
     return 3 * 2 ** (m - 2) + 1
+
+
+def _random_partial_algebra(rng, n, max_joins=None):
+    """Random constraint system: distinct pairs with arbitrary results."""
+    if max_joins is None:
+        max_joins = 2 * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    m = rng.randint(0, min(max_joins, len(pairs)))
+    joins = [(i, j, rng.randrange(n)) for i, j in pairs[:m]]
+    return PartialBinaryAlgebra(n, joins)
 
 
 def _run_optimized(source):
@@ -71,6 +83,12 @@ def rng():
 def named():
     return {id_: build_named(id_) for id_ in
             ("B4", "H3", "H5", "K3", "H3_B4", "C5")}
+
+
+@pytest.fixture(scope="session")
+def random_partial_algebra():
+    """Builder of a seeded random partial algebra: random_partial_algebra(rng, n)."""
+    return _random_partial_algebra
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,6 @@ from subsemi.counting import (
 )
 from subsemi.enumeration import bruteforce_semilattices, enumerate_semilattices
 from subsemi.order import canonical_form
-from subsemi.randomgen import random_partial_algebra
 
 
 def _report(cid, ok, detail=""):
@@ -196,7 +195,7 @@ def test_criterion_4_runtime_n8():
     _report("4 (runtime at n=8)", elapsed < 120.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_5_counting_oracle_equivalence(enumerated):
+def test_criterion_5_counting_oracle_equivalence(enumerated, random_partial_algebra):
     bad = 0
     for n in range(1, 9):
         for sl in enumerated(n).structures:

@@ -8,13 +8,11 @@ from subsemi.counting import (
     count_subuniverses_bruteforce,
     count_subuniverses_split,
     enumerate_subuniverses,
-    is_subuniverse,
     sigma,
     sigma_trace_bound,
     split_parts,
 )
 from subsemi.errors import SizeLimitError
-from subsemi.randomgen import random_partial_algebra
 
 
 def mask(*els):
@@ -25,12 +23,14 @@ def mask(*els):
 
 
 def test_is_subuniverse_basics():
+    # a subuniverse is a join-closed subset: JoinSemilattice.is_closed
     k3 = build_named("K3").structure          # a b c 1 -> 0 1 2 3
-    assert is_subuniverse(k3, 0)              # empty set
-    assert not is_subuniverse(k3, mask(0, 1))
-    assert is_subuniverse(k3, mask(0, 1, 3))
+    assert k3.is_closed(0)                    # empty set
+    assert not k3.is_closed(mask(0, 1))
+    assert k3.is_closed(mask(0, 1, 3))
     h5 = build_named("H5").structure          # a b c d 1 -> 0 1 2 3 4
-    assert is_subuniverse(h5, mask(0, 1, 2, 4))
+    assert h5.is_closed(mask(0, 1, 2, 4))
+    assert not h5.is_closed(mask(2, 3))       # c v d = 1 is missing
 
 
 def test_bruteforce_counts():
@@ -88,7 +88,7 @@ def test_split_equals_bruteforce_every_pivot_large(n, enumerated):
             assert count_subuniverses_split(sl, pivot).count == want
 
 
-def test_split_equals_bruteforce_random_partial(rng):
+def test_split_equals_bruteforce_random_partial(rng, random_partial_algebra):
     for _ in range(200):
         n = rng.randint(1, 10)
         pa = random_partial_algebra(rng, n)

@@ -1,11 +1,13 @@
 import pytest
 
-from subsemi import _pycount, kernel
+import _pycount
+
+from subsemi import kernel
 from subsemi.catalog import build_named, catalog_ids, chain
 from subsemi.counting import count_subuniverses_split
 from subsemi.kernel import count_closed, enumerate_closed
 from subsemi.order import Poset, to_semilattice
-from subsemi.randomgen import random_partial_algebra, random_semilattice
+from subsemi.randomgen import random_semilattice
 
 
 def _star(n):
@@ -23,7 +25,7 @@ def test_no_constraints_shortcut():
     assert enumerate_closed(2, []) == [0, 1, 2, 3]
 
 
-def test_enumeration_matches_count(rng):
+def test_enumeration_matches_count(rng, random_partial_algebra):
     for _ in range(30):
         n = rng.randint(1, 9)
         pa = random_partial_algebra(rng, n)
@@ -33,7 +35,7 @@ def test_enumeration_matches_count(rng):
         assert subs == sorted(subs)
 
 
-def test_kernel_matches_scan(rng):
+def test_kernel_matches_scan(rng, random_partial_algebra):
     for _ in range(120):
         n = rng.randint(1, 11)
         if rng.random() < 0.5:
@@ -79,7 +81,7 @@ def test_enumeration_across_blocks(n, broom):
     assert enumerate_closed(n, broom(n).closure_constraints()) == expected
 
 
-def test_kernel_matches_split_across_blocks(rng):
+def test_kernel_matches_split_across_blocks(rng, random_partial_algebra):
     for n in range(17, 22):
         for _ in range(2):
             pa = random_partial_algebra(rng, n)

@@ -11,57 +11,36 @@ from subsemi.order import (
     _refined_invariants,
     are_isomorphic,
     canonical_form,
-    partial_meet,
     poset_from_code,
     to_semilattice,
-    validate_poset,
 )
-
-T, F = True, False
-
-
-def test_validate_singleton():
-    p = validate_poset([[T]])
-    assert p.n == 1 and p.le(0, 0)
-
-
-def test_validate_two_chain():
-    p = validate_poset([[T, T], [F, T]])
-    assert p.le(0, 1) and not p.le(1, 0)
 
 
 def test_validate_reports_antisymmetry_witness():
+    # Poset.from_covers is where the order's axioms are checked
     with pytest.raises(PosetAxiomError) as exc:
-        validate_poset([[T, T], [T, T]])
+        Poset.from_covers(2, [(0, 1), (1, 0)])
     assert exc.value.axiom == "antisymmetry"
     assert set(exc.value.witness) == {0, 1}
 
 
-def test_validate_reports_reflexivity_and_transitivity():
-    with pytest.raises(PosetAxiomError) as exc:
-        validate_poset([[F]])
-    assert exc.value.axiom == "reflexivity"
-    with pytest.raises(PosetAxiomError) as exc:
-        validate_poset([
-            [T, T, F],
-            [F, T, T],
-            [F, F, T],
-        ])
-    assert exc.value.axiom == "transitivity"
-    assert exc.value.witness == (0, 1, 2)
+def _join(sl):
+    """The whole join operation of sl, from its nontrivial joins and its order."""
+    listed = {(i, j): k for i, j, k in sl.nontrivial_joins}
 
-
-def test_validate_rejects_empty_and_nonsquare():
-    with pytest.raises(PosetAxiomError):
-        validate_poset([])
-    with pytest.raises(PosetAxiomError):
-        validate_poset([[T, T], [F]])
+    def join(a, b):
+        if sl.le(a, b):
+            return b
+        if sl.le(b, a):
+            return a
+        return listed[min(a, b), max(a, b)]
+    return join
 
 
 def test_to_semilattice_V_shape():
     p = Poset.from_covers(3, [(0, 2), (1, 2)])
     sl = to_semilattice(p)
-    assert sl.join[0][1] == 2
+    assert sl.nontrivial_joins == ((0, 1, 2),)
     assert sl.top == 2
 
 
@@ -75,7 +54,7 @@ def test_to_semilattice_diamond():
     b4 = build_named("B4").structure
     atoms = [i for i in range(4) if i not in (b4.top,)
              and b4.down[i].bit_count() == 2]
-    assert b4.join[atoms[0]][atoms[1]] == b4.top
+    assert b4.nontrivial_joins == ((atoms[0], atoms[1], b4.top),)
 
 
 def test_covers_chain_and_diamond():
@@ -97,11 +76,18 @@ def test_covers_le_round_trip(all_structures):
 
 
 def test_join_table_consistent_with_order(all_structures):
+    # the listed pairs are exactly the incomparable pairs i < j, in order,
+    # and each listed k is their least upper bound
     for n, structures in all_structures.items():
         for sl in structures:
-            for i in range(n):
-                for j in range(n):
-                    assert (sl.join[i][j] == j) == sl.le(i, j)
+            incomparable = [(i, j) for i in range(n) for j in range(i + 1, n)
+                            if not sl.le(i, j) and not sl.le(j, i)]
+            assert [(i, j) for i, j, _ in sl.nontrivial_joins] == incomparable
+            for i, j, k in sl.nontrivial_joins:
+                assert sl.le(i, k) and sl.le(j, k)
+                for u in range(n):
+                    if sl.le(i, u) and sl.le(j, u):
+                        assert sl.le(k, u)
 
 
 def test_join_associative_spot_check(all_structures):
@@ -109,11 +95,11 @@ def test_join_associative_spot_check(all_structures):
         if n > 6:
             continue
         for sl in structures:
-            j = sl.join
+            j = _join(sl)
             for a in range(n):
                 for b in range(n):
                     for c in range(n):
-                        assert j[j[a][b]][c] == j[a][j[b][c]]
+                        assert j(j(a, b), c) == j(a, j(b, c))
 
 
 def test_canonical_relabeling_invariance(all_structures):
@@ -238,20 +224,11 @@ def test_are_isomorphic_examples():
     assert are_isomorphic(glued_sum(k3, chain(1)), k3)
 
 
-def test_partial_meet():
-    c3 = chain(3)
-    assert partial_meet(c3, 0, 2) == 0
-    b4 = build_named("B4").structure
-    assert partial_meet(b4, 1, 2) == 0
-    h5 = build_named("H5").structure
-    assert partial_meet(h5, 0, 3) is None
-
-
 def test_rejects_size_zero():
     with pytest.raises(Exception):
         chain(0)
-    with pytest.raises(PosetAxiomError):
-        validate_poset([])
+    with pytest.raises(ValueError):
+        Poset(())
 
 
 def _isomorphic_bruteforce(a, b):

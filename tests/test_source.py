@@ -78,3 +78,23 @@ def test_one_function_constructs_the_process_pool():
     for path, tree in _package_modules():
         visit(path, tree, "<module>")
     assert sites == ["enumeration.py:process_pool"]
+
+
+def test_every_module_is_imported_by_another():
+    # a module that no other module of the package imports serves only the
+    # tests, and belongs under tests/; __init__ and __main__ are entry points
+    modules = {}
+    for path, tree in _package_modules():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        modules[f"subsemi.{path.stem}"] = imported
+    unused = [name for name in modules
+              if name not in ("subsemi.__init__", "subsemi.__main__")
+              and not any(name in imported for other, imported in modules.items()
+                          if other != name)]
+    assert unused == []
