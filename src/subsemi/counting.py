@@ -2,8 +2,8 @@
 
 Two independent algorithms are provided: a full 2^n closed-subset count
 (count_subuniverses_bruteforce, backed by the bit-parallel truth-table
-kernel in subsemi.kernel) and a recursive case split on a pivot element with
-memoization (count_subuniverses_split); count_subuniverses_checked runs
+kernel in subsemi.kernel) and a plain recursive case split on a pivot
+element (count_subuniverses_split); count_subuniverses_checked runs
 both and raises when they disagree.
 Relative counts sigma_k are exact dyadic rationals throughout.
 """
@@ -105,7 +105,6 @@ def _propagate(clauses, in_mask, out_mask):
     Returns (clauses, in_mask, out_mask) or None on contradiction. A clause
     with consequent 0 is a forbidden antecedent.
     """
-    clauses = list(clauses)
     while True:
         forced = 0
         nxt = []
@@ -124,64 +123,39 @@ def _propagate(clauses, in_mask, out_mask):
                 continue
             nxt.append((ant, cons))
         if not forced:
-            return tuple(sorted(set(nxt))), in_mask, out_mask
+            return nxt, in_mask, out_mask
         in_mask |= forced
         if in_mask & out_mask:
             return None
         clauses = nxt
 
 
-def _count_clauses(n, clauses, decided_mask, memo):
-    free = ((1 << n) - 1) & ~decided_mask
-    touched = 0
-    for ant, cons in clauses:
-        touched |= ant | cons
-    outside = free & ~touched
-    mult = 1 << outside.bit_count()
-    free &= touched
-    if not clauses:
-        return mult
-    key = (clauses, free)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit * mult
-    # propagation keeps every remaining antecedent nonempty and undecided
-    ant0 = clauses[0][0]
-    var = (ant0 & -ant0).bit_length() - 1
-    total = 0
-    for value in (False, True):
-        branch = _propagate(clauses, 1 << var if value else 0, 0 if value else 1 << var)
-        if branch is None:
-            continue
-        cl, inm, outm = branch
-        total += _count_clauses(n, cl, decided_mask | (1 << var) | inm | outm, memo)
-    # children count the untouched vars too, so factor them out before caching
-    memo[key] = total // mult
-    return total
-
-
-def _count_with(a, in_mask=0, out_mask=0, memo=None):
-    """Count closed subsets with some elements forced in/out, by case splitting."""
-    # the closure constraints, as (antecedent_mask, consequent_bit) clauses
-    state = _propagate(sorted(a.closure_constraints()), in_mask, out_mask)
+def _count(n, clauses, in_mask, out_mask):
+    """Closed subsets containing in_mask and avoiding out_mask, by case splitting;
+    propagation leaves the in-set closed, so every leaf holds a subuniverse."""
+    state = _propagate(clauses, in_mask, out_mask)
     if state is None:
         return 0
-    clauses, inm, outm = state
-    if memo is None:
-        memo = {}
-    return _count_clauses(a.n, clauses, inm | outm, memo)
+    clauses, in_mask, out_mask = state
+    if not clauses:
+        return 1 << (n - (in_mask | out_mask).bit_count())
+    # propagation keeps every remaining antecedent nonempty and undecided
+    ant0 = clauses[0][0]
+    bit = ant0 & -ant0
+    return (_count(n, clauses, in_mask, out_mask | bit)
+            + _count(n, clauses, in_mask | bit, out_mask))
 
 
 def count_subuniverses_split(a, pivot, k=DEFAULT_K):
     """Exact count as (subsets avoiding the pivot) + (subsets containing it).
 
-    Recursive case split with memoization; independent of the brute-force scan.
+    Plain recursive case split; independent of the brute-force scan.
     """
     if not 0 <= pivot < a.n:
         raise ValueError(f"pivot {pivot} out of range")
-    memo = {}
-    avoiding = _count_with(a, out_mask=1 << pivot, memo=memo)
-    containing = _count_with(a, in_mask=1 << pivot, memo=memo)
+    clauses = a.closure_constraints()
+    avoiding = _count(a.n, clauses, 0, 1 << pivot)
+    containing = _count(a.n, clauses, 1 << pivot, 0)
     count = avoiding + containing
     return SubuniverseReport(count=count, sigma=sigma_value(count, a.n, k), k=k, n=a.n)
 
@@ -214,10 +188,10 @@ def split_parts(a, pivot):
     """Counts (pivot not in S; pivot in S and S disjoint from rest; pivot in S meeting rest)
     for a semilattice a, where rest is every element except the pivot and the top."""
     rest_mask = ((1 << a.n) - 1) & ~(1 << pivot) & ~(1 << a.top)
-    memo = {}
-    avoiding = _count_with(a, out_mask=1 << pivot, memo=memo)
-    disjoint = _count_with(a, in_mask=1 << pivot, out_mask=rest_mask, memo=memo)
-    total = avoiding + _count_with(a, in_mask=1 << pivot, memo=memo)
+    clauses = a.closure_constraints()
+    avoiding = _count(a.n, clauses, 0, 1 << pivot)
+    disjoint = _count(a.n, clauses, 1 << pivot, rest_mask)
+    total = avoiding + _count(a.n, clauses, 1 << pivot, 0)
     return SplitParts(pivot, avoiding, disjoint, total - avoiding - disjoint)
 
 

@@ -37,6 +37,10 @@ class ConfigError(SubsemiError, ValueError):
 class UnknownStructureError(SubsemiError, KeyError):
     """Catalog id not recognised."""
 
+    def __str__(self):
+        # KeyError's own str is the repr of the key
+        return f"unknown catalog id {self.args[0]!r}"
+
 
 class NoMatchError(SubsemiError, RuntimeError):
     """A reconstruction search found no structure satisfying its constraints."""

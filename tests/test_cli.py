@@ -294,8 +294,10 @@ def test_export_dot_named(capsys):
 
 
 def test_export_dot_unknown(capsys):
-    code, _, err = run(capsys, "export-dot", "NOPE")
-    assert code == 2
+    for argv in (["export-dot", "NOPE"], ["count", "--named", "NOPE"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: unknown catalog id 'NOPE'\n"
 
 
 def test_export_dot_to_file(capsys, tmp_path):

@@ -72,6 +72,24 @@ def test_split_matches_reference_decompositions():
     assert count_subuniverses_split(k3, 0).count == 12
 
 
+def test_split_parts_match_listing(all_structures):
+    # each part counted over the listed subuniverses, for every non-top pivot
+    for n, structures in all_structures.items():
+        for sl in structures:
+            subs = enumerate_subuniverses(sl)
+            for pivot in range(n):
+                if pivot == sl.top:
+                    continue
+                p = 1 << pivot
+                rest = ((1 << n) - 1) & ~p & ~(1 << sl.top)
+                containing = [s for s in subs if s & p]
+                meeting = sum(1 for s in containing if s & rest)
+                want = (len(subs) - len(containing), len(containing) - meeting, meeting)
+                parts = split_parts(sl, pivot)
+                assert (parts.avoiding, parts.containing_disjoint,
+                        parts.containing_meeting) == want
+
+
 def test_split_equals_bruteforce_every_pivot(all_structures):
     for n, structures in all_structures.items():
         for sl in structures:
@@ -196,10 +214,12 @@ def test_empty_structures_rejected():
 
 
 def test_closed_forms_at_medium_size(broom, broom_count):
-    # product of five independent pair->result triples: (2^3 - 1)^5 closed sets
-    pa = PartialBinaryAlgebra(15, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(5)])
-    assert count_subuniverses_bruteforce(pa).count == 7 ** 5
-    assert count_subuniverses_split(pa, 7).count == 7 ** 5
+    # products of m independent pair->result triples: (2^3 - 1)^m closed sets;
+    # m = 8 (n = 24) sits at the brute-force limit
+    for m in (5, 8):
+        pa = PartialBinaryAlgebra(3 * m, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(m)])
+        assert count_subuniverses_bruteforce(pa).count == 7 ** m
+        assert count_subuniverses_split(pa, 7).count == 7 ** m
     # broom(15): a 14-chain plus one pendant under the top
     expected = broom_count(15)
     assert count_subuniverses_bruteforce(broom(15)).count == expected

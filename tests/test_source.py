@@ -98,3 +98,17 @@ def test_every_module_is_imported_by_another():
               and not any(name in imported for other, imported in modules.items()
                           if other != name)]
     assert unused == []
+
+
+def test_split_counter_does_not_use_the_kernel():
+    # the case-split counter is the independent check on the kernel's count
+    split = {"_propagate", "_count", "count_subuniverses_split", "split_parts"}
+    tree = next(tree for path, tree in _package_modules() if path.name == "counting.py")
+    found, users = set(), []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in split:
+            found.add(node.name)
+            users += [f"{node.name}:{n.lineno}" for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and n.id == "kernel"]
+    assert found == split
+    assert users == []
