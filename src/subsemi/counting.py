@@ -67,13 +67,22 @@ class SubuniverseReport:
     n: int
 
     def __post_init__(self):
-        if self.sigma * Fraction(2) ** (self.n - self.k) != self.count:
+        # sigma * 2^(n-k) == count, cross-multiplied in integers
+        num, den = self.sigma.numerator, self.sigma.denominator
+        if self.n >= self.k:
+            ok = num << (self.n - self.k) == self.count * den
+        else:
+            ok = num == (self.count * den) << (self.k - self.n)
+        if not ok:
             raise ValueError(f"sigma {self.sigma} does not match count {self.count} "
                              f"at n={self.n}, k={self.k}")
 
 
 def sigma_value(count, n, k=DEFAULT_K):
-    return Fraction(count) * Fraction(2) ** (k - n)
+    """count * 2^(k-n) as an exact Fraction."""
+    if k >= n:
+        return Fraction(count << (k - n))
+    return Fraction(count, 1 << (n - k))
 
 
 def count_subuniverses_bruteforce(a, k=DEFAULT_K):
@@ -202,4 +211,4 @@ def sigma_trace_bound(L, subset, k=DEFAULT_K):
     """Upper bound t * 2^(k-|H|) where t counts distinct traces H & S over Sub(L);
     subset is the bitmask of H."""
     traces = {s & subset for s in enumerate_subuniverses(L)}
-    return Fraction(len(traces)) * Fraction(2) ** (k - subset.bit_count())
+    return sigma_value(len(traces), subset.bit_count(), k)

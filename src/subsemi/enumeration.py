@@ -15,8 +15,13 @@ loses no structure: in any L, delete a minimal element m of largest key.
 What is left is a join-semilattice one size smaller, so some parent of the
 previous level is isomorphic to it, and putting m back is one of that
 parent's extensions, whose new element has the largest key and is kept.
-The set of canonical codes still removes every remaining duplicate, and
-every extension counts as a candidate whether or not the test dropped it.
+
+Before the key test, an extension is dropped when another in its orbit
+under the parent's twin swaps holds lower-indexed twins. Swapping twins is
+an automorphism of the parent that leaves every key as it is, so the
+dropped children are isomorphic to kept ones and pass or fail the key test
+alike. The set of canonical codes still removes every remaining duplicate,
+and every extension counts as a candidate whether or not a test dropped it.
 
 bruteforce_semilattices is the independent oracle for small n: it scans
 all labeled partial orders directly.
@@ -58,36 +63,53 @@ def pool_map(pool, fn, items, chunksize=8):
 
 
 def _upclosed_extensions(parent_up):
-    """Valid strict up-sets for a new minimal element below an existing structure."""
+    """Valid strict up-sets for a new minimal element below an existing structure,
+    in ascending order."""
     pn = len(parent_up)
+    # the up-sets are grown from the empty set, adding elements from the top
+    # down: an element joins a set that already holds its strict up-set
+    upsets = [0]
+    for i in sorted(range(pn), key=lambda i: parent_up[i].bit_count()):
+        strict = parent_up[i] & ~(1 << i)
+        bit = 1 << i
+        upsets += [u | bit for u in upsets if strict & u == strict]
     out = []
-    for u in range(1, 1 << pn):
-        ok = True
-        m = u
-        while m:
-            i = (m & -m).bit_length() - 1
-            if parent_up[i] & ~u:
-                ok = False
-                break
-            m &= m - 1
-        if not ok:
-            continue
+    for u in upsets[1:]:
         for x in range(pn):
             common = u & parent_up[x]
-            found = False
             mm = common
             while mm:
                 k = (mm & -mm).bit_length() - 1
                 if common & parent_up[k] == common:
-                    found = True
                     break
                 mm &= mm - 1
-            if not found:
-                ok = False
+            else:
                 break
-        if ok:
+        else:
             out.append(u)
+    out.sort()
     return out
+
+
+def _twin_representatives(parent_up, extensions):
+    """The extensions that hold, in every twin class of the parent, its
+    lowest-indexed members.
+
+    Twins (elements with the same strict up-set and strict down-set) are
+    swapped by an automorphism of the parent, which maps an extension u to
+    an isomorphic child's; each orbit of the twin swaps holds exactly one
+    of the extensions kept.
+    """
+    down = Poset(parent_up).down
+    pairs = []   # (earlier twin, next twin) bits, consecutive in index order
+    last_of = {}
+    for i in range(len(parent_up)):
+        key = (parent_up[i] & ~(1 << i), down[i] & ~(1 << i))
+        if key in last_of:
+            pairs.append((1 << last_of[key], 1 << i))
+        last_of[key] = i
+    return [u for u in extensions
+            if all(u & earlier or not u & later for earlier, later in pairs)]
 
 
 def _minimal_key(strict_up, sizes):
@@ -102,7 +124,8 @@ def _minimal_key(strict_up, sizes):
 
 
 def _expand_parent(parent_up):
-    """(number of children, canonical codes of the children that pass the key test).
+    """(number of children, canonical codes of the children that pass the twin
+    and key tests).
 
     A child is canonicalised only when its new element's key is at least the
     key of every other minimal element of the child. The new element lies
@@ -119,7 +142,7 @@ def _expand_parent(parent_up):
                     for i in range(pn) if not covered >> i & 1]
     extensions = _upclosed_extensions(parent_up)
     kept = []
-    for u in extensions:
+    for u in _twin_representatives(parent_up, extensions):
         key = _minimal_key(u, sizes)
         if all(key >= other for bit, other in minimal_keys if not u & bit):
             kept.append(canonical_form(Poset(parent_up + (u | (1 << pn),))).code)

@@ -196,8 +196,10 @@ class CanonicalForm:
 
 
 def _refined_invariants(p):
-    """Comparable per-element invariant vectors, two refinement rounds, and
-    each element's strict lower elements in ascending order."""
+    """Comparable per-element invariant vectors and each element's strict
+    lower elements in ascending order. The vectors are refined by at most two
+    rounds, stopping once they are all distinct or before a round that would
+    split no class."""
     n = p.n
     up = p.up
     strict_up = [up[i] & ~(1 << i) for i in range(n)]
@@ -222,21 +224,22 @@ def _refined_invariants(p):
                 cover_dn[j] += 1
     inv = [(len(above[i]) + 1, len(below[i]) + 1, cover_dn[i], cover_up[i])
            for i in range(n)]
+    # a refined vector starts with the previous one, so a round only splits
+    # classes and keeps their order; after a round that splits none, every
+    # later round splits none either
+    classes = len(set(inv))
     for _ in range(2):
-        inv = [(inv[i],
-                tuple(sorted([inv[j] for j in below[i]])),
-                tuple(sorted([inv[j] for j in above[i]])))
-               for i in range(n)]
+        if classes == n:
+            break
+        refined = [(inv[i],
+                    tuple(sorted([inv[j] for j in below[i]])),
+                    tuple(sorted([inv[j] for j in above[i]])))
+                   for i in range(n)]
+        split = len(set(refined))
+        if split == classes:
+            break
+        inv, classes = refined, split
     return inv, below
-
-
-def _pack_code(p):
-    # row i holds le(i, j) for j = 0..n-1, first bit first; the last byte is
-    # padded with zero bits
-    n = p.n
-    bits = "".join(format(row, f"0{n}b")[::-1] for row in p.up)
-    bits += "0" * (-len(bits) % 8)
-    return bytes([n]) + int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 
 def poset_from_code(code):
@@ -324,7 +327,22 @@ def canonical_form(p):
         return
 
     rec(0, True)
-    return CanonicalForm(code=_pack_code(p.relabel(best_perm)), perm=best_perm)
+    # row i holds le(perm[i], perm[j]) for j = 0..n-1, first bit first; the
+    # last byte is padded with zero bits
+    pos = [0] * n
+    for new, old in enumerate(best_perm):
+        pos[old] = new
+    bits = 0
+    for old in best_perm:
+        row = 0
+        m = up[old]
+        while m:
+            row |= 1 << (n - 1 - pos[(m & -m).bit_length() - 1])
+            m &= m - 1
+        bits = bits << n | row
+    size = (n * n + 7) // 8
+    code = bytes([n]) + (bits << (8 * size - n * n)).to_bytes(size, "big")
+    return CanonicalForm(code=code, perm=best_perm)
 
 
 def are_isomorphic(a, b):

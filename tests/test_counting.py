@@ -5,11 +5,13 @@ import pytest
 from subsemi.catalog import build_named, chain
 from subsemi.counting import (
     PartialBinaryAlgebra,
+    SubuniverseReport,
     count_subuniverses_bruteforce,
     count_subuniverses_split,
     enumerate_subuniverses,
     sigma,
     sigma_trace_bound,
+    sigma_value,
     split_parts,
 )
 from subsemi.errors import SizeLimitError
@@ -47,6 +49,25 @@ def test_report_rejects_inconsistent_sigma_under_O(run_optimized):
         "SubuniverseReport(count=25, sigma=Fraction(24), k=5, n=5)\n")
     assert proc.returncode != 0
     assert "ValueError: sigma 24 does not match count 25" in proc.stderr
+
+
+def test_sigma_value_is_exact():
+    # the shift-built Fraction against the power of two it stands for
+    for n in range(1, 12):
+        for k in range(12):
+            for count in (1, 2, 3, 25, 97, 3 << n, (1 << n) - 1, 1 << n):
+                value = sigma_value(count, n, k)
+                assert isinstance(value, Fraction)
+                assert value == Fraction(count) * Fraction(2) ** (k - n)
+
+
+@pytest.mark.parametrize("n, k", [(9, 5), (5, 5), (3, 5)])
+def test_report_checks_sigma_on_both_sides_of_k(n, k):
+    for count in (1, 25, 49, 97, 384):
+        SubuniverseReport(count=count, sigma=sigma_value(count, n, k), k=k, n=n)
+        for wrong in (count - 1, count + 1, 2 * count):
+            with pytest.raises(ValueError, match="does not match"):
+                SubuniverseReport(count=count, sigma=sigma_value(wrong, n, k), k=k, n=n)
 
 
 def test_bruteforce_size_limit():

@@ -5,6 +5,7 @@ import pytest
 from subsemi import enumeration
 from subsemi.catalog import build_named, chain
 from subsemi.enumeration import (
+    _twin_representatives,
     _upclosed_extensions,
     bruteforce_semilattices,
     enumerate_semilattices,
@@ -48,6 +49,86 @@ def test_key_test_drops_only_duplicates(enumerated):
         level = {canonical_form(Poset(up + (u | 1 << (n - 1),))).code
                  for up in parents for u in _upclosed_extensions(up)}
         assert enumerated(n).codes == tuple(sorted(level))
+
+
+def _scanned_extensions(parent_up):
+    """Reference for _upclosed_extensions: every nonempty subset of the parent,
+    kept when it is up-closed and meets every up-set in a set with a minimum."""
+    pn = len(parent_up)
+    out = []
+    for u in range(1, 1 << pn):
+        ok = True
+        m = u
+        while m:
+            i = (m & -m).bit_length() - 1
+            if parent_up[i] & ~u:
+                ok = False
+                break
+            m &= m - 1
+        if not ok:
+            continue
+        for x in range(pn):
+            common = u & parent_up[x]
+            found = False
+            mm = common
+            while mm:
+                k = (mm & -mm).bit_length() - 1
+                if common & parent_up[k] == common:
+                    found = True
+                    break
+                mm &= mm - 1
+            if not found:
+                ok = False
+                break
+        if ok:
+            out.append(u)
+    return out
+
+
+def test_grown_extensions_match_subset_scan(enumerated):
+    # each parent on its canonical labels, and on the reversed labels, under
+    # which the up-sets do not grow in ascending order
+    for n in range(1, 9):
+        for code in enumerated(n).codes:
+            p = poset_from_code(code)
+            for up in (p.up, p.relabel(range(n - 1, -1, -1)).up):
+                assert _upclosed_extensions(up) == _scanned_extensions(up)
+
+
+def _child_codes(parent_up, extensions):
+    n = len(parent_up)
+    return {canonical_form(Poset(parent_up + (u | 1 << n,))).code for u in extensions}
+
+
+def test_twin_representatives_lose_no_child(enumerated):
+    # the children of the extensions the twin test keeps are, up to
+    # isomorphism, all the children
+    dropped = 0
+    for n in range(1, 7):
+        for code in enumerated(n).codes:
+            up = poset_from_code(code).up
+            extensions = _upclosed_extensions(up)
+            kept = _twin_representatives(up, extensions)
+            dropped += len(extensions) - len(kept)
+            assert set(kept) <= set(extensions)
+            assert _child_codes(up, kept) == _child_codes(up, extensions)
+    assert dropped > 0
+
+
+def test_canonical_form_calls_in_generation(monkeypatch):
+    # the twin and key tests leave 1,490 canonical forms at n = 8, of 2,861
+    # candidates; without the twin test there were 2,040
+    calls = []
+    real = enumeration.canonical_form
+
+    def counted(p):
+        calls.append(p.n)
+        return real(p)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    run = enumerate_semilattices(8)
+    assert len(calls) == 1490
+    assert run.stats == {"candidates": 2861, "duplicates": 1783}
 
 
 def test_structures_are_pairwise_nonisomorphic():

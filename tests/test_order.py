@@ -148,43 +148,84 @@ def test_code_decodes_to_the_canonical_poset(enumerated):
         assert poset_from_code(cf.code) == p.relabel(cf.perm)
 
 
-def _reference_invariants(p):
-    """Reference for _refined_invariants written directly from its definition:
-    covers from Poset.covers, and each element scans all n elements in each
-    refinement round."""
+def _base_invariants(p):
+    """Per-element (|up|, |down|, lower covers, upper covers), covers from
+    Poset.covers."""
     n = p.n
-    dn = p.down
-    up = p.up
     cover_up = [0] * n
     cover_dn = [0] * n
     for i, j in p.covers:
         cover_up[i] += 1
         cover_dn[j] += 1
-    inv = [
-        (bin(up[i]).count("1"), bin(dn[i]).count("1"), cover_dn[i], cover_up[i])
-        for i in range(n)
-    ]
+    return [(bin(p.up[i]).count("1"), bin(p.down[i]).count("1"), cover_dn[i], cover_up[i])
+            for i in range(n)]
+
+
+def _refine(p, inv):
+    """One refinement round, each element scanning all n elements."""
+    n = p.n
+    nxt = []
+    for i in range(n):
+        below = sorted(inv[j] for j in range(n) if j != i and p.down[i] >> j & 1)
+        above = sorted(inv[j] for j in range(n) if j != i and p.up[i] >> j & 1)
+        nxt.append((inv[i], tuple(below), tuple(above)))
+    return nxt
+
+
+def _reference_invariants(p):
+    """Reference for _refined_invariants written directly from its definition:
+    at most two refinement rounds, stopping once the vectors are all distinct,
+    and dropping a round that splits no class."""
+    inv = _base_invariants(p)
     for _ in range(2):
-        nxt = []
-        for i in range(n):
-            below = sorted(inv[j] for j in range(n) if j != i and dn[i] >> j & 1)
-            above = sorted(inv[j] for j in range(n) if j != i and up[i] >> j & 1)
-            nxt.append((inv[i], tuple(below), tuple(above)))
+        if len(set(inv)) == p.n:
+            break
+        nxt = _refine(p, inv)
+        if len(set(nxt)) == len(set(inv)):
+            break
         inv = nxt
     return inv
 
 
-def test_refined_invariants_match_reference(enumerated):
-    posets = _generated_candidates(enumerated)
+def _two_round_invariants(p):
+    """The invariants after always two refinement rounds."""
+    inv = _base_invariants(p)
+    for _ in range(2):
+        inv = _refine(p, inv)
+    return inv
+
+
+def _ordered_partition(inv):
+    """The elements sorted as canonical_form sorts them, and the class boundaries."""
+    order = sorted(range(len(inv)), key=lambda i: (inv[i], i))
+    return order, [t for t in range(1, len(order)) if inv[order[t]] != inv[order[t - 1]]]
+
+
+def _invariant_test_posets(enumerated):
     structures = [build_named(id_).structure for id_ in catalog_ids()]
     # the case table's partial algebras have no order to take invariants of
-    posets += [s for s in structures if isinstance(s, Poset)]
-    for p in posets:
+    return _generated_candidates(enumerated) + [s for s in structures if isinstance(s, Poset)]
+
+
+def test_refined_invariants_match_reference(enumerated):
+    for p in _invariant_test_posets(enumerated):
         inv, below = _refined_invariants(p)
         assert inv == _reference_invariants(p)
         # the strict down-sets, listed in ascending order, key the twins
         assert below == [[j for j in range(p.n) if j != i and p.down[i] >> j & 1]
                          for i in range(p.n)]
+
+
+def test_early_stop_keeps_the_ordered_partition(enumerated):
+    # a round after the partition is discrete or stable moves no element
+    # and splits no class, so stopping early leaves canonical_form's input
+    stopped = 0
+    for p in _invariant_test_posets(enumerated):
+        inv = _reference_invariants(p)
+        two_rounds = _two_round_invariants(p)
+        stopped += inv != two_rounds
+        assert _ordered_partition(inv) == _ordered_partition(two_rounds)
+    assert stopped > 0
 
 
 def test_canonical_distinguishes():

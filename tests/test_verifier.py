@@ -1,11 +1,12 @@
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from subsemi import analysis, counting, order, verifier
+from subsemi import analysis, cli, counting, order, verifier
 from subsemi.catalog import build_named, catalog_ids
 from subsemi.order import canonical_form
 
@@ -93,6 +94,15 @@ def test_theorem_n9_at_default_ceiling(half_value_class, shared_runs):
     # the stated sixth value still carries exactly the claimed family
     from subsemi.analysis import family_codes
     assert set(rep.witnesses[384]) == {c.hex() for c in family_codes("K3", 9)}
+
+
+def test_theorem_n9_json_bytes(shared_runs, capsys):
+    # the audit's whole report, canonical codes included, against the bytes
+    # recorded for the benchmark; exit code 1 says a claim is refuted
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" \
+        / "verify_theorem_n9.json"
+    assert cli.main(["verify-theorem", "--n", "9", "--json", "--workers", "1"]) == 1
+    assert capsys.readouterr().out.encode() == reference.read_bytes()
 
 
 def test_lemma_entries_classifications():
