@@ -2,7 +2,6 @@
 join-semilattices and partial binary algebras."""
 
 from subsemi.analysis import (
-    FamilyMatch,
     build_family_member,
     matches_family,
     narrows,
@@ -44,8 +43,8 @@ from subsemi.verifier import rank, verify_lemmas, verify_theorem
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalForm", "EnumerationRun", "FamilyMatch", "JoinSemilattice",
-    "NamedStructure", "PartialBinaryAlgebra", "Poset", "SubuniverseReport",
+    "CanonicalForm", "EnumerationRun", "JoinSemilattice", "NamedStructure",
+    "PartialBinaryAlgebra", "Poset", "SubuniverseReport",
     "are_isomorphic", "build_family_member", "build_named",
     "bruteforce_semilattices", "canonical_form", "catalog_ids", "chain",
     "count_subuniverses_bruteforce", "count_subuniverses_split",

@@ -8,10 +8,9 @@ family exactly when its canonical code is one of theirs. A negative answer
 is therefore a proof of non-membership at this size.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from subsemi.catalog import build_named, chain, chain_poset, glued_sum, ordinal_sum
+from subsemi.catalog import build_named, chain, glued_sum, ordinal_sum
 from subsemi.order import canonical_form, to_semilattice
 
 FAMILY_CORES = ("H5", "H3_B4", "K3")
@@ -29,30 +28,20 @@ def narrows(sl):
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class FamilyMatch:
-    core_id: str
-    c0_len: int
-    c1_len: int
-    matched: bool
-
-
 def _core_of(core):
-    if isinstance(core, str):
-        return core, build_named(core).structure
-    return getattr(core, "id", "core"), core
+    return build_named(core).structure if isinstance(core, str) else core
 
 
 def build_family_member(core, c0_len, c1_len):
     """Construct C_c0 +ord core (glued) C_c1."""
-    _, core_sl = _core_of(core)
+    core_sl = _core_of(core)
     if c0_len < 0 or c1_len < 1:
         raise ValueError(
             f"chain lengths need c0 >= 0 and c1 >= 1, got ({c0_len}, {c1_len})")
     glued = glued_sum(core_sl, chain(c1_len))
     if c0_len == 0:
         return glued
-    return to_semilattice(ordinal_sum(chain_poset(c0_len), glued))
+    return to_semilattice(ordinal_sum(chain(c0_len), glued))
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +50,7 @@ def family_members(core, n):
 
     Cached per (core, n) and shared by every caller: do not mutate the result.
     """
-    _, core_sl = _core_of(core)
+    core_sl = _core_of(core)
     out = {}
     spare = n - core_sl.n + 1
     for c0 in range(0, spare):
@@ -73,12 +62,9 @@ def family_members(core, n):
 
 
 def matches_family(sl, core):
-    """Whether sl is an n-element member of one core family, and its chain split."""
-    core_id, _ = _core_of(core)
-    split = family_members(core, sl.n).get(canonical_form(sl).code)
-    if split is None:
-        return FamilyMatch(core_id, -1, -1, False)
-    return FamilyMatch(core_id, *split, True)
+    """The chain split (c0_len, c1_len) that makes sl a member of one core
+    family, or None when sl is not a member."""
+    return family_members(core, sl.n).get(canonical_form(sl).code)
 
 
 def family_codes(core_id, n):

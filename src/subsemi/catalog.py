@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from subsemi.counting import PartialBinaryAlgebra, count_subuniverses_bruteforce, split_parts
+from subsemi.counting import (
+    PartialBinaryAlgebra,
+    count_subuniverses_bruteforce,
+    sigma_value,
+    split_parts,
+)
 from subsemi.enumeration import enumerate_semilattices
 from subsemi.errors import NoMatchError, NoUniqueBottomError, UnknownStructureError
 from subsemi.order import JoinSemilattice, Poset, canonical_form, to_semilattice
@@ -26,11 +31,7 @@ def chain(m):
     """Total order on m >= 1 elements, 0 < 1 < ... < m-1."""
     if m < 1:
         raise ValueError("chains have at least one element")
-    return to_semilattice(chain_poset(m))
-
-
-def chain_poset(m):
-    return Poset.from_covers(m, [(i, i + 1) for i in range(m - 1)])
+    return to_semilattice(Poset.from_covers(m, [(i, i + 1) for i in range(m - 1)]))
 
 
 def ordinal_sum(p, q):
@@ -183,7 +184,7 @@ def _total(id_, covers_, n, labels, expected_count, reported, provenance):
     sl = to_semilattice(Poset.from_covers(n, covers_))
     return NamedStructure(
         id=id_, structure=sl, labels=tuple(labels),
-        expected_sigma5=Fraction(expected_count) * Fraction(2) ** (5 - n),
+        expected_sigma5=sigma_value(expected_count, n),
         reported_sigma5=tuple(Fraction(v) for v in reported),
         tolerance=Fraction(0), provenance=provenance,
     )
@@ -192,9 +193,8 @@ def _total(id_, covers_, n, labels, expected_count, reported, provenance):
 @lru_cache(maxsize=None)
 def build_named(id_):
     """Construct a catalog structure together with its expected value."""
-    m = re.fullmatch(r"C(\d+)", id_)
-    if m:
-        k = int(m.group(1))
+    k = int(id_[1:]) if re.fullmatch(r"C\d+", id_) else 0
+    if k >= 1:
         sl = chain(k)
         return NamedStructure(
             id=id_, structure=sl, labels=tuple(str(i) for i in range(k)),
@@ -232,18 +232,18 @@ def build_named(id_):
             prov += "; contradictory reported values"
         return NamedStructure(
             id=id_, structure=pa, labels=tuple(names),
-            expected_sigma5=Fraction(count) * Fraction(2) ** (5 - len(names)),
+            expected_sigma5=sigma_value(count, len(names)),
             reported_sigma5=tuple(Fraction(v) for v in reported),
             tolerance=Fraction(tol), provenance=prov,
         )
     if id_ in _FIGURE_TARGETS:
-        result = reconstruct_figure_structures()[id_]
+        matches = reconstruct_figure_structures()[id_]
         val, tol = _FIGURE_SIGMA[id_]
-        note = "unique up to isomorphism" if result.unique else (
-            f"{len(result.matches)} non-isomorphic matches; smallest canonical code kept")
+        note = "unique up to isomorphism" if len(matches) == 1 else (
+            f"{len(matches)} non-isomorphic matches; smallest canonical code kept")
         return NamedStructure(
-            id=id_, structure=result.matches[0].structure,
-            labels=tuple(str(i) for i in range(result.matches[0].structure.n)),
+            id=id_, structure=matches[0].structure,
+            labels=tuple(str(i) for i in range(matches[0].structure.n)),
             expected_sigma5=Fraction(val), reported_sigma5=(Fraction(val),),
             tolerance=Fraction(tol),
             provenance=f"reconstructed by decomposition search; {note}",
@@ -261,23 +261,17 @@ class ReconstructionMatch:
     parts: tuple  # (avoiding, containing disjoint, containing meeting)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    target: str
-    matches: tuple
-    unique: bool
-
-
 @lru_cache(maxsize=None)
 def reconstruct_figure_structures():
-    """Search small semilattices for the figure-only shapes K, N, K0.
+    """Search small semilattices for the figure-only shapes K, N, K0; maps
+    each target to its tuple of matches.
 
     Each target is pinned by its pivot decomposition: the subuniverses
     avoiding the pivot must number exactly the previous structure's count
     and deleting the pivot must leave that structure, with the
     containing-side parts (2, meets) as required. All matches are kept, in
-    ascending canonical-code order and each with its first matching pivot;
-    uniqueness up to isomorphism is reported either way.
+    ascending canonical-code order and each with its first matching pivot,
+    so a target is unique up to isomorphism when it has one match.
     """
     results = {}
     base_codes = {"B4": {canonical_form(build_named("B4").structure).code}}
@@ -309,10 +303,6 @@ def reconstruct_figure_structures():
         if not matches:
             raise NoMatchError(
                 f"no {n}-element join-semilattice satisfies the {target} decomposition")
-        results[target] = ReconstructionResult(
-            target=target,
-            matches=tuple(matches),
-            unique=len(matches) == 1,
-        )
+        results[target] = tuple(matches)
         base_codes[target] = codes
     return results

@@ -14,11 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from subsemi import analysis, catalog, verifier
-from subsemi.counting import (
-    DEFAULT_K,
-    count_subuniverses_bruteforce,
-    count_subuniverses_checked,
-)
+from subsemi.counting import DEFAULT_K, count_subuniverses_checked
 from subsemi.enumeration import enumerate_semilattices, process_pool
 from subsemi.errors import ConfigError, SizeLimitError, SubsemiError, UnknownStructureError
 from subsemi.jsonio import (
@@ -32,6 +28,10 @@ from subsemi.order import poset_from_code
 
 
 DEFAULT_CEILING = 9
+
+# a count is at most 2^n, so sigma_k = count * 2^(k-n) is at most 2^k, and
+# the JSON's sigma_decimal float holds 2^k up to k = 1023
+MAX_K = 1023
 
 
 def enumeration_ceiling():
@@ -73,6 +73,8 @@ def _check_settings(args):
         value = given.get(name)
         if value is not None and value < 1:
             raise ConfigError(f"--{name} must be at least 1, got {value}")
+    if "k" in given and args.k > MAX_K:
+        raise ConfigError(f"--k must be at most {MAX_K}, got {args.k}")
     if "ceiling" in given and args.n > args.ceiling:
         raise SizeLimitError(
             f"enumeration ceiling is {args.ceiling}; raise it explicitly for n={args.n}")
@@ -100,7 +102,7 @@ def cmd_count(args):
 
 def cmd_sigma(args):
     structure, _ = _resolve_input(args)
-    report = count_subuniverses_bruteforce(structure, args.k)
+    report = count_subuniverses_checked(structure, args.k)
     if args.json:
         print(_dump(count_report_to_dict(report)))
     else:
@@ -205,11 +207,11 @@ def cmd_classify(args):
         "families": {},
     }
     for core_id in analysis.FAMILY_CORES:
-        m = analysis.matches_family(structure, core_id)
+        c0_len, c1_len = analysis.matches_family(structure, core_id) or (None, None)
         result["families"][core_id] = {
-            "matched": m.matched,
-            "c0_len": m.c0_len if m.matched else None,
-            "c1_len": m.c1_len if m.matched else None,
+            "matched": c0_len is not None,
+            "c0_len": c0_len,
+            "c1_len": c1_len,
         }
     print(_dump(result))
     return 0

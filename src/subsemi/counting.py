@@ -62,20 +62,12 @@ class SubuniverseReport:
     """Exact |Sub(.)| plus the relative count sigma_k = count * 2^(k-n)."""
 
     count: int
-    sigma: Fraction
     k: int
     n: int
 
-    def __post_init__(self):
-        # sigma * 2^(n-k) == count, cross-multiplied in integers
-        num, den = self.sigma.numerator, self.sigma.denominator
-        if self.n >= self.k:
-            ok = num << (self.n - self.k) == self.count * den
-        else:
-            ok = num == (self.count * den) << (self.k - self.n)
-        if not ok:
-            raise ValueError(f"sigma {self.sigma} does not match count {self.count} "
-                             f"at n={self.n}, k={self.k}")
+    @property
+    def sigma(self):
+        return sigma_value(self.count, self.n, self.k)
 
 
 def sigma_value(count, n, k=DEFAULT_K):
@@ -90,7 +82,7 @@ def count_subuniverses_bruteforce(a, k=DEFAULT_K):
     if a.n > BRUTE_MAX_N:
         raise SizeLimitError(f"brute force limited to n <= {BRUTE_MAX_N}, got {a.n}")
     count = kernel.count_closed(a.n, a.closure_constraints())
-    return SubuniverseReport(count=count, sigma=sigma_value(count, a.n, k), k=k, n=a.n)
+    return SubuniverseReport(count=count, k=k, n=a.n)
 
 
 def enumerate_subuniverses(a):
@@ -166,7 +158,7 @@ def count_subuniverses_split(a, pivot, k=DEFAULT_K):
     avoiding = _count(a.n, clauses, 0, 1 << pivot)
     containing = _count(a.n, clauses, 1 << pivot, 0)
     count = avoiding + containing
-    return SubuniverseReport(count=count, sigma=sigma_value(count, a.n, k), k=k, n=a.n)
+    return SubuniverseReport(count=count, k=k, n=a.n)
 
 
 def count_subuniverses_checked(a, k=DEFAULT_K):

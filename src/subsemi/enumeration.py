@@ -91,6 +91,14 @@ def _upclosed_extensions(parent_up):
     return out
 
 
+def random_semilattice(rng, n):
+    """Uniform-ish random walk over the minimal-extension generation tree."""
+    up = (1,)
+    for _ in range(n - 1):
+        up = up + (rng.choice(_upclosed_extensions(up)) | (1 << len(up)),)
+    return to_semilattice(Poset(up))
+
+
 def _twin_representatives(parent_up, extensions):
     """The extensions that hold, in every twin class of the parent, its
     lowest-indexed members.

@@ -65,15 +65,15 @@ def test_criterion_2_figure_reconstruction():
     ok = elapsed < 10.0
     details = [f"{elapsed:.2f}s"]
     for target, (n, total, parts) in checks.items():
-        res = rec[target]
-        good = (len(res.matches) >= 1
-                and all(m.structure.n == n for m in res.matches)
+        matches = rec[target]
+        good = (len(matches) >= 1
+                and all(m.structure.n == n for m in matches)
                 and all(count_subuniverses_bruteforce(m.structure).count == total
-                        for m in res.matches)
-                and all(m.parts == parts for m in res.matches))
+                        for m in matches)
+                and all(m.parts == parts for m in matches))
         ok = ok and good
-        details.append(f"{target}: {len(res.matches)} match(es), "
-                       f"unique={res.unique}")
+        details.append(f"{target}: {len(matches)} match(es), "
+                       f"unique={len(matches) == 1}")
     _report("2 (figure-only reconstruction)", ok, "; ".join(details))
 
 

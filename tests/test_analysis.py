@@ -7,7 +7,7 @@ from subsemi.analysis import (
     matches_family,
     narrows,
 )
-from subsemi.catalog import build_named, chain, chain_poset, ordinal_sum
+from subsemi.catalog import build_named, chain, ordinal_sum
 from subsemi.order import are_isomorphic, canonical_form, to_semilattice
 
 
@@ -40,7 +40,7 @@ def test_glue_element_is_a_narrows():
 
 def test_bottom_chain_elements_become_narrows():
     h5 = build_named("H5").structure
-    s = to_semilattice(ordinal_sum(chain_poset(1), h5))
+    s = to_semilattice(ordinal_sum(chain(1), h5))
     assert narrows(s) == frozenset({0})
 
 
@@ -51,23 +51,21 @@ def test_family_narrows_include_lower_chain():
 
 
 def test_matches_family_degenerate():
-    m = matches_family(build_named("H5").structure, "H5")
-    assert m.matched and (m.c0_len, m.c1_len) == (0, 1)
+    assert matches_family(build_named("H5").structure, "H5") == (0, 1)
 
 
 def test_matches_family_constructed_member():
     member = to_semilattice(ordinal_sum(
-        chain_poset(2),
+        chain(2),
         build_family_member("K3", 0, 3),
     ))
-    m = matches_family(member, "K3")
-    assert m.matched and (m.c0_len, m.c1_len) == (2, 3)
+    assert matches_family(member, "K3") == (2, 3)
 
 
 def test_chain_never_matches_core_families():
     c7 = chain(7)
     for core in ("H5", "H3_B4", "K3"):
-        assert not matches_family(c7, core).matched
+        assert matches_family(c7, core) is None
 
 
 def test_family_soundness_round_trip():
@@ -76,10 +74,9 @@ def test_family_soundness_round_trip():
         for c0 in range(0, 4):
             for c1 in range(1, 4):
                 member = build_family_member(base, c0, c1)
-                m = matches_family(member, core)
-                assert m.matched
-                assert m.c0_len + base.n + m.c1_len - 1 == member.n
-                rebuilt = build_family_member(base, m.c0_len, m.c1_len)
+                c0_len, c1_len = matches_family(member, core)
+                assert c0_len + base.n + c1_len - 1 == member.n
+                rebuilt = build_family_member(base, c0_len, c1_len)
                 assert are_isomorphic(member, rebuilt)
 
 
@@ -99,9 +96,9 @@ def test_matched_member_is_isomorphic_to_reconstruction(all_structures):
     # classification is constructive: a positive answer rebuilds the witness
     h5 = build_named("H5").structure
     for sl in all_structures[6]:
-        m = matches_family(sl, "H5")
-        if m.matched:
-            assert are_isomorphic(sl, build_family_member(h5, m.c0_len, m.c1_len))
+        split = matches_family(sl, "H5")
+        if split is not None:
+            assert are_isomorphic(sl, build_family_member(h5, *split))
             assert canonical_form(sl).code in family_codes("H5", 6)
 
 
@@ -112,16 +109,15 @@ def _pairwise_match(sl, core_id):
     for c0 in range(spare):
         c1 = spare - c0
         if are_isomorphic(sl, build_family_member(core, c0, c1)):
-            return True, c0, c1
-    return False, -1, -1
+            return c0, c1
+    return None
 
 
 def test_matches_family_agrees_with_pairwise_oracle(all_structures):
     for structures in all_structures.values():
         for sl in structures:
             for core_id in FAMILY_CORES:
-                m = matches_family(sl, core_id)
-                assert (m.matched, m.c0_len, m.c1_len) == _pairwise_match(sl, core_id)
+                assert matches_family(sl, core_id) == _pairwise_match(sl, core_id)
 
 
 def test_family_built_once_per_core_and_size(monkeypatch, all_structures):

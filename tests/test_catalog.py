@@ -7,7 +7,6 @@ from subsemi.catalog import (
     case_partial_algebra,
     catalog_ids,
     chain,
-    chain_poset,
     glued_sum,
     ordinal_sum,
     reconstruct_figure_structures,
@@ -30,13 +29,13 @@ def test_chain_examples():
 
 
 def test_ordinal_sum_chains_concatenate():
-    s = to_semilattice(ordinal_sum(chain_poset(2), chain_poset(3)))
+    s = to_semilattice(ordinal_sum(chain(2), chain(3)))
     assert are_isomorphic(s, chain(5))
 
 
 def test_ordinal_sum_below_H5():
     h5 = build_named("H5").structure
-    s = to_semilattice(ordinal_sum(chain_poset(1), h5))
+    s = to_semilattice(ordinal_sum(chain(1), h5))
     assert s.n == 6
     assert sigma(s) == 25
 
@@ -48,7 +47,7 @@ def test_ordinal_sum_antichains_have_no_join():
 
 
 def test_ordinal_sum_associative_up_to_iso(rng):
-    from subsemi.randomgen import random_semilattice
+    from subsemi.enumeration import random_semilattice
     for _ in range(25):
         p = random_semilattice(rng, rng.randint(1, 4))
         q = random_semilattice(rng, rng.randint(1, 4))
@@ -76,7 +75,7 @@ def test_glued_sum_examples(broom):
 
 
 def test_glued_sum_size_law(rng):
-    from subsemi.randomgen import random_semilattice
+    from subsemi.enumeration import random_semilattice
     for _ in range(25):
         k = random_semilattice(rng, rng.randint(1, 5))
         l = random_semilattice(rng, rng.randint(1, 5))
@@ -180,24 +179,23 @@ def test_reconstruction_targets():
     rec = reconstruct_figure_structures()
     assert set(rec) == {"K", "N", "K0"}
     k = rec["K"]
-    assert all(m.parts == (14, 2, 7) for m in k.matches)
-    assert all(count_subuniverses_bruteforce(m.structure).count == 23
-               for m in k.matches)
+    assert all(m.parts == (14, 2, 7) for m in k)
+    assert all(count_subuniverses_bruteforce(m.structure).count == 23 for m in k)
     n = rec["N"]
-    assert all(m.parts == (23, 2, 14) for m in n.matches)
+    assert all(m.parts == (23, 2, 14) for m in n)
     k0 = rec["K0"]
-    assert all(m.parts == (39, 2, 20) for m in k0.matches)
-    assert all(m.structure.n == 7 for m in k0.matches)
-    # ambiguity status is reported either way; these are the observed facts
-    assert not k.unique and len(k.matches) == 2
-    assert not n.unique and len(n.matches) == 2
-    assert k0.unique and len(k0.matches) == 1
+    assert all(m.parts == (39, 2, 20) for m in k0)
+    assert all(m.structure.n == 7 for m in k0)
+    # K and N are ambiguous, K0 is unique up to isomorphism
+    assert len(k) == 2
+    assert len(n) == 2
+    assert len(k0) == 1
 
 
 def test_reconstruction_matches_in_code_order():
     # one match per structure, in the generator's ascending code order
-    for result in reconstruct_figure_structures().values():
-        codes = [canonical_form(m.structure).code for m in result.matches]
+    for matches in reconstruct_figure_structures().values():
+        codes = [canonical_form(m.structure).code for m in matches]
         assert all(a < b for a, b in zip(codes, codes[1:]))
 
 

@@ -32,17 +32,19 @@ def test_count_named(capsys):
 
 
 def test_count_fails_on_disagreement_under_O(run_optimized):
-    # a corrupted kernel must not print a count, even with asserts stripped
-    proc = run_optimized(
-        "import sys\n"
-        "from subsemi import kernel\n"
-        "from subsemi.cli import main\n"
-        "real = kernel.count_closed\n"
-        "kernel.count_closed = lambda n, cons: real(n, cons) + 1\n"
-        "sys.exit(main(['count', '--named', 'H5']))\n")
-    assert proc.returncode != 0
-    assert proc.stdout == ""
-    assert "counting algorithms disagree: 26 != 25" in proc.stderr
+    # a corrupted kernel must not print a count or a relative count, even
+    # with asserts stripped
+    for command in ("count", "sigma"):
+        proc = run_optimized(
+            "import sys\n"
+            "from subsemi import kernel\n"
+            "from subsemi.cli import main\n"
+            "real = kernel.count_closed\n"
+            "kernel.count_closed = lambda n, cons: real(n, cons) + 1\n"
+            f"sys.exit(main(['{command}', '--named', 'H5']))\n")
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "counting algorithms disagree: 26 != 25" in proc.stderr
 
 
 def test_sigma_K0(capsys):
@@ -177,7 +179,18 @@ BAD_SETTINGS = [
      "SUBUNIV_CEILING must be an integer of at least 1, got 'abc'"),
     ({"SUBUNIV_CEILING": "0"}, ["enumerate", "--n", "3"],
      "SUBUNIV_CEILING must be an integer of at least 1, got '0'"),
+    ({}, ["count", "--named", "C1", "--k", "1024"], "--k must be at most 1023, got 1024"),
+    ({}, ["sigma", "--named", "H5", "--k", "2000", "--json"],
+     "--k must be at most 1023, got 2000"),
 ]
+
+
+def test_largest_k_prints_its_float(capsys):
+    # sigma_1023 of the one-element chain is 2^1023, the largest power of two
+    # a float holds
+    code, out, _ = run(capsys, "count", "--named", "C1", "--k", "1023")
+    assert code == 0
+    assert json.loads(out)["sigma_decimal"] == 2.0 ** 1023
 
 
 def test_workers_default_counts_the_usable_cpus(monkeypatch):
@@ -298,6 +311,18 @@ def test_export_dot_unknown(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == "error: unknown catalog id 'NOPE'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--named", "C0"],
+    ["sigma", "--named", "C0"],
+    ["classify", "--named", "C0"],
+    ["export-dot", "C0"],
+])
+def test_empty_chain_id_is_unknown(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown catalog id 'C0'\n"
 
 
 def test_export_dot_to_file(capsys, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from subsemi.catalog import build_named, chain
 from subsemi.counting import (
     PartialBinaryAlgebra,
-    SubuniverseReport,
     count_subuniverses_bruteforce,
     count_subuniverses_split,
     enumerate_subuniverses,
@@ -42,15 +41,6 @@ def test_bruteforce_counts():
         assert count_subuniverses_bruteforce(chain(m)).count == 2 ** m
 
 
-def test_report_rejects_inconsistent_sigma_under_O(run_optimized):
-    proc = run_optimized(
-        "from fractions import Fraction\n"
-        "from subsemi.counting import SubuniverseReport\n"
-        "SubuniverseReport(count=25, sigma=Fraction(24), k=5, n=5)\n")
-    assert proc.returncode != 0
-    assert "ValueError: sigma 24 does not match count 25" in proc.stderr
-
-
 def test_sigma_value_is_exact():
     # the shift-built Fraction against the power of two it stands for
     for n in range(1, 12):
@@ -61,13 +51,15 @@ def test_sigma_value_is_exact():
                 assert value == Fraction(count) * Fraction(2) ** (k - n)
 
 
-@pytest.mark.parametrize("n, k", [(9, 5), (5, 5), (3, 5)])
-def test_report_checks_sigma_on_both_sides_of_k(n, k):
-    for count in (1, 25, 49, 97, 384):
-        SubuniverseReport(count=count, sigma=sigma_value(count, n, k), k=k, n=n)
-        for wrong in (count - 1, count + 1, 2 * count):
-            with pytest.raises(ValueError, match="does not match"):
-                SubuniverseReport(count=count, sigma=sigma_value(wrong, n, k), k=k, n=n)
+def test_report_sigma_is_the_scaled_count(all_structures):
+    # both counters' reports, on both sides of k = n
+    for n in range(1, 7):
+        for sl in all_structures[n]:
+            for k in range(1, 12):
+                for report in (count_subuniverses_bruteforce(sl, k),
+                               count_subuniverses_split(sl, 0, k)):
+                    assert (report.k, report.n) == (k, n)
+                    assert report.sigma == Fraction(report.count) * Fraction(2) ** (k - n)
 
 
 def test_bruteforce_size_limit():
@@ -191,7 +183,7 @@ def test_trace_bound_edges():
 
 
 def test_trace_bound_random(rng):
-    from subsemi.randomgen import random_semilattice
+    from subsemi.enumeration import random_semilattice
     for _ in range(100):
         n = rng.randint(2, 8)
         sl = random_semilattice(rng, n)
@@ -200,7 +192,7 @@ def test_trace_bound_random(rng):
 
 
 def test_monotonicity_random(rng):
-    from subsemi.randomgen import random_semilattice
+    from subsemi.enumeration import random_semilattice
     for _ in range(100):
         n = rng.randint(2, 8)
         sl = random_semilattice(rng, n)

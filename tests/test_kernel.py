@@ -5,9 +5,9 @@ import _pycount
 from subsemi import kernel
 from subsemi.catalog import build_named, catalog_ids, chain
 from subsemi.counting import count_subuniverses_split
+from subsemi.enumeration import random_semilattice
 from subsemi.kernel import count_closed, enumerate_closed
 from subsemi.order import Poset, to_semilattice
-from subsemi.randomgen import random_semilattice
 
 
 def _star(n):
