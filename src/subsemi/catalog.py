@@ -17,13 +17,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from subsemi.counting import (
+    BRUTE_MAX_N,
     PartialBinaryAlgebra,
     count_subuniverses_bruteforce,
     sigma_value,
     split_parts,
 )
 from subsemi.enumeration import enumerate_semilattices
-from subsemi.errors import NoMatchError, NoUniqueBottomError, UnknownStructureError
+from subsemi.errors import (
+    NoMatchError,
+    NoUniqueBottomError,
+    SizeLimitError,
+    UnknownStructureError,
+)
 from subsemi.order import JoinSemilattice, Poset, canonical_form, to_semilattice
 
 
@@ -193,7 +199,10 @@ def _total(id_, covers_, n, labels, expected_count, reported, provenance):
 @lru_cache(maxsize=None)
 def build_named(id_):
     """Construct a catalog structure together with its expected value."""
-    k = int(id_[1:]) if re.fullmatch(r"C\d+", id_) else 0
+    k = int(id_[1:]) if re.fullmatch(r"C[1-9]\d*", id_) else 0
+    if k > BRUTE_MAX_N:
+        # no command can count a longer chain, and its up-sets take k^2 bits
+        raise SizeLimitError(f"brute force limited to n <= {BRUTE_MAX_N}, got {k}")
     if k >= 1:
         sl = chain(k)
         return NamedStructure(

@@ -2,9 +2,9 @@
 
 Two independent algorithms are provided: a full 2^n closed-subset count
 (count_subuniverses_bruteforce, backed by the bit-parallel truth-table
-kernel in subsemi.kernel) and a plain recursive case split on a pivot
-element (count_subuniverses_split); count_subuniverses_checked runs
-both and raises when they disagree.
+kernel in subsemi.kernel) and a recursive case split on a pivot element
+with forced-in/forced-out propagation (count_subuniverses_split);
+count_subuniverses_checked runs both and raises when they disagree.
 Relative counts sigma_k are exact dyadic rationals throughout.
 """
 
@@ -104,10 +104,12 @@ def _propagate(clauses, in_mask, out_mask):
     """Apply decisions to clauses until fixpoint.
 
     Returns (clauses, in_mask, out_mask) or None on contradiction. A clause
-    with consequent 0 is a forbidden antecedent.
+    with consequent 0 is a forbidden antecedent: once all of it but one
+    member is in, that member is forced out, as a clause with an empty
+    antecedent forces its consequent in.
     """
     while True:
-        forced = 0
+        forced = banned = 0
         nxt = []
         for ant, cons in clauses:
             if ant & out_mask:
@@ -122,10 +124,14 @@ def _propagate(clauses, in_mask, out_mask):
                     return None               # forbidden set fully present
                 forced |= cons
                 continue
+            if cons == 0 and ant & (ant - 1) == 0:
+                banned |= ant                 # its last undecided member must stay out
+                continue
             nxt.append((ant, cons))
-        if not forced:
+        if not (forced or banned):
             return nxt, in_mask, out_mask
         in_mask |= forced
+        out_mask |= banned
         if in_mask & out_mask:
             return None
         clauses = nxt
@@ -138,8 +144,14 @@ def _count(n, clauses, in_mask, out_mask):
     if state is None:
         return 0
     clauses, in_mask, out_mask = state
+    free = n - (in_mask | out_mask).bit_count()
     if not clauses:
-        return 1 << (n - (in_mask | out_mask).bit_count())
+        return 1 << free
+    if len(clauses) == 1:
+        # every assignment but those holding the antecedent and missing the
+        # consequent: both are undecided, and no consequent is in its antecedent
+        ant, cons = clauses[0]
+        return (1 << free) - (1 << (free - (ant | cons).bit_count()))
     # propagation keeps every remaining antecedent nonempty and undecided
     ant0 = clauses[0][0]
     bit = ant0 & -ant0
@@ -150,7 +162,8 @@ def _count(n, clauses, in_mask, out_mask):
 def count_subuniverses_split(a, pivot, k=DEFAULT_K):
     """Exact count as (subsets avoiding the pivot) + (subsets containing it).
 
-    Plain recursive case split; independent of the brute-force scan.
+    Recursive case split with unit propagation; independent of the
+    brute-force scan.
     """
     if not 0 <= pivot < a.n:
         raise ValueError(f"pivot {pivot} out of range")

@@ -15,6 +15,7 @@ of 2^B bits, so memory stays bounded whatever n is.
 The plain scan this kernel is tested against is tests/_pycount.py.
 """
 
+from functools import cache
 from itertools import compress
 
 BLOCK_BITS = 16
@@ -22,27 +23,39 @@ BLOCK_BITS = 16
 _BIT_OF_CHAR = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _blocks(n, constraints):
-    """Yield (first subset, closed table) for each block, in ascending order."""
-    b = min(n, BLOCK_BITS)
+@cache
+def _var_tables(b):
+    """The tables var[i], i < b, over the 2^b subsets of a block; bit s of
+    var[i] is bit i of s. Built once per block width (b * 2^b bits)."""
     size = 1 << b
-    full = (1 << size) - 1
     var = []
     for i in range(b):
-        # bit s of var[i] is bit i of s: runs of 2^i zeros, then 2^i ones
+        # runs of 2^i zeros, then 2^i ones
         table, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
         while width < size:
             table |= table << width
             width <<= 1
         var.append(table)
+    return tuple(var)
+
+
+def _blocks(n, constraints):
+    """Yield (first subset, closed table) for each block, in ascending order."""
+    b = min(n, BLOCK_BITS)
+    full = (1 << (1 << b)) - 1
+    low = (1 << b) - 1
+    var = _var_tables(b)
     groups = {}
     for pm, rb in constraints:
         bad = full
-        for i in range(b):
-            if pm >> i & 1:
-                bad &= var[i]
-            if rb >> i & 1:
-                bad &= ~var[i]
+        bits = pm & low
+        while bits:
+            bad &= var[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
+        bits = rb & low
+        while bits:
+            bad &= ~var[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
         if bad:
             key = (pm >> b, rb >> b)
             groups[key] = groups.get(key, 0) | bad

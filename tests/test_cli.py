@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from subsemi import cli
+from subsemi import catalog, cli
 from subsemi.cli import main
+from subsemi.counting import BRUTE_MAX_N
 from subsemi.jsonio import structure_from_dict
 from subsemi.order import canonical_form
 
@@ -323,6 +324,31 @@ def test_empty_chain_id_is_unknown(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: unknown catalog id 'C0'\n"
+
+
+# the commands that take a catalog id, each without the id
+NAMED_COMMANDS = [["count", "--named"], ["sigma", "--named"], ["classify", "--named"],
+                  ["export-dot"]]
+
+
+@pytest.mark.parametrize("command", NAMED_COMMANDS)
+def test_zero_padded_chain_id_is_unknown(capsys, command):
+    code, out, err = run(capsys, *command, "C05")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown catalog id 'C05'\n"
+
+
+@pytest.mark.parametrize("command", NAMED_COMMANDS)
+def test_overlong_chain_id_exits_2_before_building(capsys, monkeypatch, command):
+    # a chain longer than any count allows is refused by its id alone
+    def no_chain(m):
+        raise AssertionError(f"chain({m}) built")
+
+    monkeypatch.setattr(catalog, "chain", no_chain)
+    for m in (BRUTE_MAX_N + 1, 2000):
+        code, out, err = run(capsys, *command, f"C{m}")
+        assert (code, out) == (2, "")
+        assert err == f"error: brute force limited to n <= {BRUTE_MAX_N}, got {m}\n"
 
 
 def test_export_dot_to_file(capsys, tmp_path):

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from subsemi import counting
 from subsemi.catalog import build_named, chain
 from subsemi.counting import (
+    _count,
+    _propagate,
     PartialBinaryAlgebra,
     count_subuniverses_bruteforce,
     count_subuniverses_split,
@@ -126,6 +129,64 @@ def test_split_equals_bruteforce_random_partial(rng, random_partial_algebra):
         want = count_subuniverses_bruteforce(pa).count
         pivot = rng.randrange(n)
         assert count_subuniverses_split(pa, pivot).count == want
+
+
+def test_propagate_bans_the_last_member_of_a_forbidden_set():
+    # 0 v 1 = 2 with 2 out leaves {0, 1} forbidden; with 0 in, 1 must stay out
+    assert _propagate([(mask(0, 1), 0)], mask(0), 0) == ([], mask(0), mask(1))
+    # the ban takes 2 v 3 = 1's consequent out in the next pass, which bans 3
+    clauses = [(mask(0, 1), 0), (mask(2, 3), mask(1))]
+    assert _propagate(clauses, mask(0, 2), 0) == ([], mask(0, 2), mask(1, 3))
+    # a member to ban that is already in, or is forced in, is a contradiction
+    assert _propagate([(mask(0, 1), 0)], mask(0, 1), 0) is None
+    assert _propagate([(mask(0, 1), 0), (mask(2, 3), mask(1))], mask(0, 2, 3), 0) is None
+    # two undecided members are not a ban
+    assert _propagate([(mask(0, 1, 2), 0)], mask(0), 0) == (
+        [(mask(1, 2), 0)], mask(0), 0)
+
+
+def test_count_matches_listing_under_masks(rng, random_partial_algebra, monkeypatch):
+    seen = set()
+
+    def watched(clauses, in_mask, out_mask):
+        state = _propagate(clauses, in_mask, out_mask)
+        if state is not None:
+            left, new_in, new_out = state
+            seen.update(path for path, hit in (
+                ("forced in", new_in != in_mask),
+                ("banned out", new_out != out_mask),
+                ("leaf with consequent", len(left) == 1 and left[0][1]),
+                ("leaf without consequent", len(left) == 1 and not left[0][1]),
+            ) if hit)
+        return state
+
+    monkeypatch.setattr(counting, "_propagate", watched)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        pa = random_partial_algebra(rng, n)
+        in_mask = rng.randrange(1 << n)
+        out_mask = rng.randrange(1 << n) & ~in_mask
+        want = sum(1 for s in enumerate_subuniverses(pa)
+                   if s & in_mask == in_mask and not s & out_mask)
+        assert _count(n, pa.closure_constraints(), in_mask, out_mask) == want
+    assert seen == {"forced in", "banned out", "leaf with consequent",
+                    "leaf without consequent"}
+
+
+def test_split_tree_stays_pruned(all_structures, monkeypatch):
+    # case-split nodes over every n = 7 structure: 2,904 with forced-out
+    # propagation and one-clause leaves, 6,974 without them
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _propagate(*args)
+
+    monkeypatch.setattr(counting, "_propagate", counted)
+    for sl in all_structures[7]:
+        count_subuniverses_split(sl, 0)
+    assert calls <= 2904
 
 
 def test_sigma_values():

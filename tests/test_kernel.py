@@ -25,6 +25,14 @@ def test_no_constraints_shortcut():
     assert enumerate_closed(2, []) == [0, 1, 2, 3]
 
 
+def test_var_tables():
+    for b in range(11):
+        tables = kernel._var_tables(b)
+        assert len(tables) == b
+        for i, table in enumerate(tables):
+            assert table == sum(1 << s for s in range(1 << b) if s >> i & 1)
+
+
 def test_enumeration_matches_count(rng, random_partial_algebra):
     for _ in range(30):
         n = rng.randint(1, 9)
@@ -56,6 +64,7 @@ def test_kernel_matches_scan_in_narrow_blocks(rng, monkeypatch, width):
     # narrow blocks put most elements in the high bits, so the grouping by
     # high bits is exercised at sizes the scan checks quickly; the
     # constraints are general ones, with any number of result bits
+    kernel._var_tables(kernel.BLOCK_BITS)     # tables of the default width, cached first
     monkeypatch.setattr(kernel, "BLOCK_BITS", width)
     for _ in range(60):
         n = rng.randint(1, 10)
