@@ -212,8 +212,53 @@ def split_parts(a, pivot):
 # -- trace bound --------------------------------------------------------
 
 
+def _close(joins, closed, e):
+    """The closure of closed | {e}, for closed already closed: a worklist
+    over the joins of the newly added elements only."""
+    closed |= 1 << e
+    todo = [e]
+    while todo:
+        for other, r in joins[todo.pop()]:
+            if closed & other and not closed >> r & 1:
+                closed |= 1 << r
+                todo.append(r)
+    return closed
+
+
+def _count_traces(joins, members, i, closed, out):
+    """Traces extending the decisions on members[:i]: closed is the closure
+    of the members taken, out the mask of those left out."""
+    while i < len(members) and closed >> members[i] & 1:
+        i += 1                                # already in the closure: forced in
+    if i == len(members):
+        return 1
+    e = members[i]
+    count = _count_traces(joins, members, i + 1, closed, out | 1 << e)
+    closed = _close(joins, closed, e)
+    if not closed & out:
+        count += _count_traces(joins, members, i + 1, closed, out)
+    return count
+
+
 def sigma_trace_bound(L, subset, k=DEFAULT_K):
     """Upper bound t * 2^(k-|H|) where t counts distinct traces H & S over Sub(L);
-    subset is the bitmask of H."""
-    traces = {s & subset for s in enumerate_subuniverses(L)}
-    return sigma_value(len(traces), subset.bit_count(), k)
+    subset is the bitmask of H.
+
+    The closed sets are closed under intersection, so T within H is a trace
+    exactly when <T> & H == T: the traces are the fixpoints of T -> <T> & H
+    (Ganter & Reuter, Order 8, 1991), counted here without listing Sub(L).
+    A depth-first walk decides the members of H in ascending order. A member
+    already in the closure of those taken is forced in; any other is first
+    left out, then taken, and a branch whose closure meets a member left out
+    is cut. Every other branch reaches a leaf, one trace each, so the walk
+    costs at most |H| * t incremental closures, recurses at most |H| deep,
+    and has no limit on n.
+    """
+    joins = [[] for _ in range(L.n)]          # joins[x]: (bit of y, r) for each x v y = r
+    for pair, result in L.closure_constraints():
+        i, j = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+        r = result.bit_length() - 1
+        joins[i].append((1 << j, r))
+        joins[j].append((1 << i, r))
+    members = [e for e in range(L.n) if subset >> e & 1]
+    return sigma_value(_count_traces(joins, members, 0, 0, 0), subset.bit_count(), k)

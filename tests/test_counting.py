@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from subsemi import counting
-from subsemi.catalog import build_named, chain
+from subsemi.catalog import build_named, catalog_ids, chain
 from subsemi.counting import (
     _count,
     _propagate,
@@ -250,6 +250,50 @@ def test_trace_bound_random(rng):
         sl = random_semilattice(rng, n)
         h = rng.randrange(1 << n)
         assert sigma(sl) <= sigma_trace_bound(sl, h)
+
+
+def _listed_trace_bound(subs, h):
+    """The bound by its definition: the distinct traces over the listed Sub(L)."""
+    return sigma_value(len({s & h for s in subs}), h.bit_count())
+
+
+def test_trace_bound_matches_listing(all_structures, rng):
+    # every H for n <= 6, 16 seeded H for n = 7 and for each catalog structure
+    for n, structures in all_structures.items():
+        for sl in structures:
+            subs = enumerate_subuniverses(sl)
+            hs = range(1 << n) if n <= 6 else [rng.randrange(1 << n) for _ in range(16)]
+            for h in hs:
+                assert sigma_trace_bound(sl, h) == _listed_trace_bound(subs, h)
+    for id_ in catalog_ids():
+        s = build_named(id_).structure
+        subs = enumerate_subuniverses(s)
+        for h in [0, (1 << s.n) - 1] + [rng.randrange(1 << s.n) for _ in range(16)]:
+            assert sigma_trace_bound(s, h) == _listed_trace_bound(subs, h)
+
+
+def test_trace_bound_matches_listing_on_partial_algebras(rng, random_partial_algebra):
+    empty = dropped = 0
+    for _ in range(500):
+        n = rng.randint(1, 10)
+        pa = random_partial_algebra(rng, n)
+        empty += not pa.defined_joins
+        dropped += any(k in (i, j) for i, j, k in pa.defined_joins)
+        subs = enumerate_subuniverses(pa)
+        for h in (rng.randrange(1 << n), rng.randrange(1 << n)):
+            assert sigma_trace_bound(pa, h) == _listed_trace_bound(subs, h)
+    assert empty and dropped                  # both edge shapes were drawn
+
+
+def test_trace_bound_has_no_size_limit(broom):
+    # H = {chain 0..7, top, pendant} of broom(30) has the traces of broom(10):
+    # 3 * 2^8 + 1 of them over |H| = 10
+    b = broom(30)
+    with pytest.raises(SizeLimitError):
+        enumerate_subuniverses(b)
+    h = mask(*range(8), b.top, 29)
+    assert b.top == 28
+    assert sigma_trace_bound(b, h) == Fraction(769, 32)
 
 
 def test_monotonicity_random(rng):

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 import _pycount
 
 from subsemi import kernel
 from subsemi.catalog import build_named, catalog_ids, chain
-from subsemi.counting import count_subuniverses_split
+from subsemi.counting import PartialBinaryAlgebra, count_subuniverses_split
 from subsemi.enumeration import random_semilattice
 from subsemi.kernel import count_closed, enumerate_closed
 from subsemi.order import Poset, to_semilattice
@@ -96,3 +98,22 @@ def test_kernel_matches_split_across_blocks(rng, random_partial_algebra):
             pa = random_partial_algebra(rng, n)
             expected = count_subuniverses_split(pa, rng.randrange(n)).count
             assert count_closed(n, pa.closure_constraints()) == expected
+
+
+@pytest.mark.parametrize("n", [19, 20, 21])
+def test_kernel_paths_agree_on_dense_partial_algebras(n):
+    # shaped like the count benchmark's partial slots: 2n distinct pairs, each
+    # joined to a third element, so every triple is a constraint and the high
+    # bits of most constraints select blocks
+    for seed in range(4):
+        rng = random.Random(f"{n}/{seed}")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rng.shuffle(pairs)
+        joins = [(i, j, rng.choice([k for k in range(n) if k not in (i, j)]))
+                 for i, j in pairs[:2 * n]]
+        pa = PartialBinaryAlgebra(n, joins)
+        cons = pa.closure_constraints()
+        assert len(cons) == 2 * n
+        count = count_closed(n, cons)
+        assert count == len(enumerate_closed(n, cons))
+        assert count == count_subuniverses_split(pa, 0).count
