@@ -57,7 +57,7 @@ def process_pool(workers):
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
-def pool_map(pool, fn, items, chunksize=8):
+def pool_map(pool, fn, items, chunksize=32):
     """fn over items in order, in the pool's workers, or here when pool is None."""
     return pool.map(fn, items, chunksize=chunksize) if pool else map(fn, items)
 
@@ -73,9 +73,15 @@ def _upclosed_extensions(parent_up):
         strict = parent_up[i] & ~(1 << i)
         bit = 1 << i
         upsets += [u | bit for u in upsets if strict & u == strict]
+    full = (1 << pn) - 1
     out = []
     for u in upsets[1:]:
-        for x in range(pn):
+        # only the x outside u are tested: u holds the up-set of each of its
+        # members x, so u meets up(x) in up(x), whose minimum is x
+        rest = full & ~u
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             common = u & parent_up[x]
             mm = common
             while mm:

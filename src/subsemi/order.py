@@ -7,6 +7,7 @@ after construction and safe to share across workers.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 from subsemi.errors import JoinMissingError, PosetAxiomError, SizeLimitError
 
@@ -195,51 +196,79 @@ class CanonicalForm:
     perm: tuple
 
 
+def _dense_ranks(vectors):
+    """Each vector's index among the sorted distinct vectors, and their number."""
+    index = {v: r for r, v in enumerate(sorted(set(vectors)))}
+    return [index[v] for v in vectors], len(index)
+
+
 def _refined_invariants(p):
-    """Comparable per-element invariant vectors and each element's strict
-    lower elements in ascending order. The vectors are refined by at most two
-    rounds, stopping once they are all distinct or before a round that would
-    split no class."""
+    """Per-element invariant ranks, each element's strict upper elements in
+    ascending order, and the twin keys when the labelling needs a search.
+
+    A rank is the index of the element's invariant vector among the sorted
+    distinct vectors, so the ranks order and split the elements exactly as
+    the vectors do. The vectors start as (|up|, |down|, lower covers, upper
+    covers); a round replaces an element's vector by (its rank, the sorted
+    ranks of its strict lower elements, the sorted ranks of its strict upper
+    elements). There are at most two rounds, stopping before a round that
+    would split no class.
+
+    Twins (elements with the same strict up-set and strict down-set, their
+    twin key) are swapped by an automorphism, so they share every rank, and
+    a round splits no class once each class is one twin class. Then the
+    only labelling that fills positions class by class with twins in index
+    order lists the elements by (rank, index), and the twin keys are None.
+    """
     n = p.n
     up = p.up
     strict_up = [up[i] & ~(1 << i) for i in range(n)]
     above = []
-    below = [[] for _ in range(n)]
+    strict_dn = [0] * n
     cover_up = [0] * n
     cover_dn = [0] * n
     for i in range(n):
         members = []
+        bit = 1 << i
         reach = 0   # elements strictly above some strict upper bound of i
         m = strict_up[i]
         while m:
             j = (m & -m).bit_length() - 1
             m &= m - 1
             members.append(j)
-            below[j].append(i)
+            strict_dn[j] |= bit
             reach |= strict_up[j]
         above.append(members)
+        covers = strict_up[i] & ~reach
+        cover_up[i] = covers.bit_count()
         for j in members:
-            if not reach >> j & 1:
-                cover_up[i] += 1
+            if covers >> j & 1:
                 cover_dn[j] += 1
-    inv = [(len(above[i]) + 1, len(below[i]) + 1, cover_dn[i], cover_up[i])
-           for i in range(n)]
-    # a refined vector starts with the previous one, so a round only splits
+    inv, classes = _dense_ranks([
+        (len(above[i]) + 1, strict_dn[i].bit_count() + 1, cover_dn[i], cover_up[i])
+        for i in range(n)])
+    twins = list(zip(strict_up, strict_dn))
+    twin_classes = len(set(twins))
+    if classes == twin_classes:
+        return inv, above, None
+    below = [[] for _ in range(n)]
+    for i in range(n):
+        for j in above[i]:
+            below[j].append(i)
+    # a refined vector starts with the previous rank, so a round only splits
     # classes and keeps their order; after a round that splits none, every
     # later round splits none either
-    classes = len(set(inv))
     for _ in range(2):
-        if classes == n:
-            break
-        refined = [(inv[i],
-                    tuple(sorted([inv[j] for j in below[i]])),
-                    tuple(sorted([inv[j] for j in above[i]])))
-                   for i in range(n)]
-        split = len(set(refined))
+        rank = inv.__getitem__
+        refined, split = _dense_ranks([
+            (inv[i], tuple(sorted(map(rank, below[i]))), tuple(sorted(map(rank, above[i]))))
+            for i in range(n)])
         if split == classes:
             break
         inv, classes = refined, split
-    return inv, below
+        if classes == twin_classes:
+            return inv, above, None
+    return inv, above, twins
 
 
 def poset_from_code(code):
@@ -249,42 +278,28 @@ def poset_from_code(code):
     return Poset([int(bits[i * n:(i + 1) * n][::-1], 2) for i in range(n)])
 
 
-def canonical_form(p):
-    """Lex-minimal relabeling of a poset over invariant-respecting permutations.
+def _search(up, order, inv, twins):
+    """The labelling of least code among those that fill each position from
+    its invariant class and place twins in index order.
 
-    Equal codes exactly for isomorphic posets; the search is pruned by the
-    refined invariant partition, by placing twins in index order, and by
-    prefix comparison against the best code found so far. Its cost grows
-    with the poset's symmetry rather than with n.
+    order lists the elements by (rank, index) and twins[e] is e's twin key.
+    Twins (same strict up-set and strict down-set) are swapped by an
+    automorphism, so only the labelings that place them in index order are
+    searched: an element waits until its previous twin is placed. Branches
+    are pruned by prefix comparison against the best code found so far.
     """
-    n = p.n
-    if n > 255:
-        raise SizeLimitError(f"canonical codes hold n in one byte, so n <= 255; got {n}")
-    inv, below = _refined_invariants(p)
-    order = sorted(range(n), key=lambda i: (inv[i], i))
+    n = len(order)
     # position t may only hold elements from the invariant class assigned to t
-    slot_class = []
-    class_members = []
-    for e in order:
-        if slot_class and inv[e] == slot_class[-1]:
-            class_members[-1].append(e)
-        else:
-            slot_class.append(inv[e])
-            class_members.append([e])
     position_block = []
-    for members in class_members:
+    for _, members in groupby(order, key=inv.__getitem__):
+        members = list(members)
         position_block.extend([members] * len(members))
-    # Twins (same strict up-set and strict down-set) are swapped by an
-    # automorphism, so only the labelings that place them in index order
-    # are searched: an element waits until its previous twin is placed.
     prev_twin = [None] * n
     last_of = {}
     for e in range(n):
-        key = (p.up[e] & ~(1 << e), tuple(below[e]))
-        prev_twin[e] = last_of.get(key)
-        last_of[key] = e
+        prev_twin[e] = last_of.get(twins[e])
+        last_of[twins[e]] = e
 
-    up = p.up
     perm = [0] * n
     used = [False] * n
     cur = [0] * n
@@ -327,22 +342,40 @@ def canonical_form(p):
         return
 
     rec(0, True)
+    return best_perm
+
+
+def canonical_form(p):
+    """Lex-minimal relabeling of a poset over invariant-respecting permutations.
+
+    Equal codes exactly for isomorphic posets. Each position is filled from
+    one class of the refined invariant partition, with twins in index order.
+    When each class is one twin class, that leaves one labelling, the
+    elements by (rank, index); otherwise _search looks for the least code,
+    at a cost that grows with the poset's symmetry rather than with n.
+    """
+    n = p.n
+    if n > 255:
+        raise SizeLimitError(f"canonical codes hold n in one byte, so n <= 255; got {n}")
+    inv, above, twins = _refined_invariants(p)
+    # a stable sort keeps each class in index order
+    perm = sorted(range(n), key=inv.__getitem__)
+    if twins is not None:
+        perm = _search(p.up, perm, inv, twins)
     # row i holds le(perm[i], perm[j]) for j = 0..n-1, first bit first; the
     # last byte is padded with zero bits
-    pos = [0] * n
-    for new, old in enumerate(best_perm):
-        pos[old] = new
+    col = [0] * n   # each element's bit within a row
+    for new, old in enumerate(perm):
+        col[old] = 1 << (n - 1 - new)
     bits = 0
-    for old in best_perm:
-        row = 0
-        m = up[old]
-        while m:
-            row |= 1 << (n - 1 - pos[(m & -m).bit_length() - 1])
-            m &= m - 1
+    for old in perm:
+        row = col[old]
+        for j in above[old]:
+            row |= col[j]
         bits = bits << n | row
     size = (n * n + 7) // 8
     code = bytes([n]) + (bits << (8 * size - n * n)).to_bytes(size, "big")
-    return CanonicalForm(code=code, perm=best_perm)
+    return CanonicalForm(code=code, perm=tuple(perm))
 
 
 def are_isomorphic(a, b):

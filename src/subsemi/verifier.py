@@ -80,7 +80,7 @@ def _rank_data(n, workers=1):
         run = enumerate_semilattices(n, pool)
         # a count takes well under a millisecond, so chunks are larger than
         # generation's to keep the hand-off small beside the work
-        counts = pool_map(pool, _checked_count, run.codes, chunksize=64)
+        counts = pool_map(pool, _checked_count, run.codes, chunksize=256)
         by_value = {}
         for code, count in zip(run.codes, counts):
             by_value.setdefault(count, []).append(code)

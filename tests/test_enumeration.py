@@ -1,8 +1,9 @@
+import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from subsemi import enumeration
+from subsemi import enumeration, order
 from subsemi.catalog import build_named, chain
 from subsemi.enumeration import (
     _twin_representatives,
@@ -129,6 +130,37 @@ def test_canonical_form_calls_in_generation(monkeypatch):
     run = enumerate_semilattices(8)
     assert len(calls) == 1490
     assert run.stats == {"candidates": 2861, "duplicates": 1783}
+
+
+def test_search_runs_for_few_canonical_forms(monkeypatch):
+    # in 1,335 of the 1,490 canonical forms at n = 8 each invariant class is
+    # one twin class, which leaves one labelling and no search
+    searches = []
+    real = order._search
+
+    def counted(up, *args):
+        searches.append(len(up))
+        return real(up, *args)
+
+    monkeypatch.setattr(order, "_search", counted)
+    enumerate_semilattices(8)
+    assert len(searches) == 155
+
+
+def _codes_digest(n):
+    return hashlib.sha256(b"".join(enumerate_semilattices(n).codes)).hexdigest()
+
+
+def test_codes_digest_n8():
+    # the reports print these codes, so they must not change by a bit
+    assert _codes_digest(8) == (
+        "f85348ed719efea0f21ff39737e10c8cfb5431010cb5316fc63114d5153e196e")
+
+
+@pytest.mark.slow
+def test_codes_digest_n10():
+    assert _codes_digest(10) == (
+        "0380a4c89bd5dc3fd1dd4aff202555f4de7df5f85aa3e9e6f9befb0147da4c60")
 
 
 def test_structures_are_pairwise_nonisomorphic():

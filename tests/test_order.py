@@ -9,6 +9,7 @@ from subsemi.errors import JoinMissingError, PosetAxiomError, SizeLimitError
 from subsemi.order import (
     Poset,
     _refined_invariants,
+    _search,
     are_isomorphic,
     canonical_form,
     poset_from_code,
@@ -128,9 +129,11 @@ def test_canonical_idempotent(all_structures):
 
 
 def _generated_candidates(enumerated):
-    """Every candidate generation meets at 2 <= n <= 7, filtered or not."""
+    """Every candidate generation meets at 2 <= n <= 8, filtered or not; from
+    n = 8 on, some need a second refinement round, and some a search after
+    a round that splits."""
     posets = []
-    for n in range(2, 8):
+    for n in range(2, 9):
         for parent in enumerated(n - 1).structures:
             up = parent.up
             posets += [Poset(up + (u | 1 << (n - 1),)) for u in _upclosed_extensions(up)]
@@ -207,13 +210,60 @@ def _invariant_test_posets(enumerated):
     return _generated_candidates(enumerated) + [s for s in structures if isinstance(s, Poset)]
 
 
+def _dense_ranks(inv):
+    """Each vector's index among the sorted distinct vectors."""
+    distinct = sorted(set(inv))
+    return [distinct.index(v) for v in inv]
+
+
+def _twin_keys(p):
+    return [(p.up[e] & ~(1 << e), p.down[e] & ~(1 << e)) for e in range(p.n)]
+
+
 def test_refined_invariants_match_reference(enumerated):
+    searched = 0
     for p in _invariant_test_posets(enumerated):
-        inv, below = _refined_invariants(p)
-        assert inv == _reference_invariants(p)
-        # the strict down-sets, listed in ascending order, key the twins
-        assert below == [[j for j in range(p.n) if j != i and p.down[i] >> j & 1]
+        ranks, above, twins = _refined_invariants(p)
+        assert ranks == _dense_ranks(_reference_invariants(p))
+        # the strict up-sets in ascending order pack the code's rows
+        assert above == [[j for j in range(p.n) if j != i and p.le(i, j)]
                          for i in range(p.n)]
+        # twin keys are returned exactly when some class holds two twin classes
+        keys = _twin_keys(p)
+        assert twins == (keys if len(set(keys)) > len(set(ranks)) else None)
+        searched += twins is not None
+    assert searched > 0
+
+
+def _searched_perm(p):
+    """The labelling _search finds for p, run whether or not canonical_form
+    skips it, and whether p's twin classes are its invariant classes."""
+    inv = _refined_invariants(p)[0]
+    order = sorted(range(p.n), key=lambda i: (inv[i], i))
+    twins = _twin_keys(p)
+    return _search(p.up, order, inv, twins), len(set(twins)) == len(set(inv))
+
+
+def test_forced_labelling_is_the_searched_one(enumerated):
+    # when each invariant class is one twin class, canonical_form skips the
+    # search; the search would have found the same labelling
+    rng = random.Random(41)
+    candidates = _generated_candidates(enumerated)
+    posets = list(candidates)
+    for _ in range(1000):
+        p = rng.choice(candidates)
+        perm = list(range(p.n))
+        rng.shuffle(perm)
+        posets.append(p.relabel(perm))
+    forced = 0
+    for p in posets:
+        perm, twins_are_classes = _searched_perm(p)
+        forced += twins_are_classes
+        cf = canonical_form(p)
+        assert cf.perm == perm
+        assert poset_from_code(cf.code) == p.relabel(perm)
+    # both paths ran
+    assert 0 < forced < len(posets)
 
 
 def test_early_stop_keeps_the_ordered_partition(enumerated):
