@@ -23,6 +23,13 @@ dropped children are isomorphic to kept ones and pass or fail the key test
 alike. The set of canonical codes still removes every remaining duplicate,
 and every extension counts as a candidate whether or not a test dropped it.
 
+A counted run counts the subuniverses of each structure of its last level
+in the worker that generates it. The closed sets of a child are those of
+its parent, plus each closed set T of the parent with the new element e
+added, when T holds e v x for every x in T. So the parent's closed table,
+built once, and one AND per new join give the brute-force count, and the
+split counter runs on the child as it stands.
+
 bruteforce_semilattices is the independent oracle for small n: it scans
 all labeled partial orders directly.
 """
@@ -30,11 +37,19 @@ all labeled partial orders directly.
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
+from subsemi import kernel
+from subsemi.counting import count_subuniverses_checked, count_subuniverses_split
 from subsemi.errors import SizeLimitError
-from subsemi.order import Poset, canonical_form, poset_from_code, to_semilattice
+from subsemi.order import (
+    JoinSemilattice,
+    Poset,
+    canonical_form,
+    poset_from_code,
+    to_semilattice,
+)
 
 BRUTE_ENUM_MAX_N = 5
 
@@ -44,6 +59,7 @@ class EnumerationRun:
     n: int
     stats: dict         # candidates generated, key-tested or not; duplicates rejected
     codes: tuple        # canonical code of each structure, strictly ascending
+    counts: tuple = None  # |Sub| of each structure, in code order, when counted
 
     @cached_property
     def structures(self):
@@ -57,9 +73,9 @@ def process_pool(workers):
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
-def pool_map(pool, fn, items, chunksize=32):
+def pool_map(pool, fn, items):
     """fn over items in order, in the pool's workers, or here when pool is None."""
-    return pool.map(fn, items, chunksize=chunksize) if pool else map(fn, items)
+    return pool.map(fn, items, chunksize=32) if pool else map(fn, items)
 
 
 def _upclosed_extensions(parent_up):
@@ -74,22 +90,17 @@ def _upclosed_extensions(parent_up):
         bit = 1 << i
         upsets += [u | bit for u in upsets if strict & u == strict]
     full = (1 << pn) - 1
+    ups = set(parent_up)
     out = []
     for u in upsets[1:]:
         # only the x outside u are tested: u holds the up-set of each of its
-        # members x, so u meets up(x) in up(x), whose minimum is x
+        # members x, so u meets up(x) in up(x), whose minimum is x. For an
+        # up-closed u, u & up(x) has a minimum k exactly when it is up(k)
         rest = full & ~u
         while rest:
             x = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            common = u & parent_up[x]
-            mm = common
-            while mm:
-                k = (mm & -mm).bit_length() - 1
-                if common & parent_up[k] == common:
-                    break
-                mm &= mm - 1
-            else:
+            if u & parent_up[x] not in ups:
                 break
         else:
             out.append(u)
@@ -137,9 +148,44 @@ def _minimal_key(strict_up, sizes):
     return (len(above) + 1, tuple(above))
 
 
-def _expand_parent(parent_up):
-    """(number of children, canonical codes of the children that pass the twin
-    and key tests).
+def _count_children(parent_up, children):
+    """{code: |Sub|} for the children of a parent, given as {code: u}, by
+    both counting algorithms; raises AssertionError when they disagree.
+
+    The brute-force count reuses the parent's closed table: the new element
+    e's joins are e v x = k for each x outside u, where up(k) = u & up(x).
+    The split counter runs on the child's own JoinSemilattice, whose pivot
+    0 is the top, as on the canonical labels.
+    """
+    pn = len(parent_up)
+    parent = to_semilattice(Poset(parent_up))
+    closed = kernel.closed_table(pn, parent.closure_constraints())
+    element_of = {up: k for k, up in enumerate(parent_up)}
+    full = (1 << pn) - 1
+    counts = {}
+    for code, u in children.items():
+        new = []
+        rest = full & ~u
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            new.append((x, element_of[u & parent_up[x]]))
+        brute = kernel.count_closed_below(pn, closed, new)
+        child = JoinSemilattice(
+            parent_up + (u | 1 << pn,),
+            tuple(sorted(parent.nontrivial_joins + tuple((x, pn, k) for x, k in new))),
+            parent.top)
+        split = count_subuniverses_split(child, 0).count
+        if split != brute:
+            raise AssertionError(
+                f"counting algorithms disagree: {brute} != {split} on {child!r}")
+        counts[code] = brute
+    return counts
+
+
+def _expand_parent(parent_up, counted=False):
+    """(number of children, {canonical code: |Sub| when counted, else None}
+    for the children that pass the twin and key tests).
 
     A child is canonicalised only when its new element's key is at least the
     key of every other minimal element of the child. The new element lies
@@ -155,44 +201,65 @@ def _expand_parent(parent_up):
     minimal_keys = [(1 << i, _minimal_key(parent_up[i] & ~(1 << i), sizes))
                     for i in range(pn) if not covered >> i & 1]
     extensions = _upclosed_extensions(parent_up)
-    kept = []
+    children = {}
     for u in _twin_representatives(parent_up, extensions):
         key = _minimal_key(u, sizes)
         if all(key >= other for bit, other in minimal_keys if not u & bit):
-            kept.append(canonical_form(Poset(parent_up + (u | (1 << pn),))).code)
-    return len(extensions), kept
+            # siblings often share a code; each is kept, and counted, once
+            children.setdefault(canonical_form(Poset(parent_up + (u | (1 << pn),))).code, u)
+    if counted:
+        return len(extensions), _count_children(parent_up, children)
+    return len(extensions), dict.fromkeys(children)
 
 
-def enumerate_semilattices(n, pool=None):
+def enumerate_semilattices(n, pool=None, counted=False):
     """All n-element join-semilattices up to isomorphism, deterministically ordered.
 
     Each level is kept as the set of its canonical codes; the next level's
     parents are decoded from them in sorted order. The run holds level n's
     sorted codes, and its structures are built from them on first use.
     Nothing is kept between calls. With a pool from process_pool, every level
-    runs in that pool's workers.
+    runs in that pool's workers. When counted, the worker that generates a
+    structure of level n also counts its subuniverses, by both algorithms,
+    and the run's counts line up with its codes; the parent's closed table
+    must fit one kernel block.
     """
     if n < 1:
         raise SizeLimitError("n must be at least 1")
-    level = {canonical_form(Poset((1,))).code}
+    if counted and n - 1 > kernel.BLOCK_BITS:
+        raise SizeLimitError(
+            f"counted enumeration limited to n <= {kernel.BLOCK_BITS + 1}, got {n}")
+    single = Poset((1,))
+    # the one-element structure has no parent to count from
+    level = {canonical_form(single).code:
+             count_subuniverses_checked(to_semilattice(single)).count
+             if counted and n == 1 else None}
     candidates = 1
-    for _ in range(2, n + 1):
+    for size in range(2, n + 1):
+        expand = partial(_expand_parent, counted=True) if counted and size == n \
+            else _expand_parent
         parent_ups = [poset_from_code(code).up for code in sorted(level)]
-        level = set()
+        level = {}
         candidates = 0
         # batches are consumed as they arrive: holding a whole level's
         # batches at once raises the peak memory of a run
-        for extensions, kept in pool_map(pool, _expand_parent, parent_ups):
+        for extensions, children in pool_map(pool, expand, parent_ups):
             candidates += extensions
-            level.update(kept)
-    return _sorted_run(n, level, candidates)
+            for code, count in children.items():
+                if level.setdefault(code, count) != count:
+                    raise AssertionError(
+                        f"two parents count structure {code.hex()} differently: "
+                        f"{level[code]} != {count}")
+    return _sorted_run(n, level, candidates, counted)
 
 
-def _sorted_run(n, codes, candidates):
-    """The EnumerationRun of a level from the set of its canonical codes."""
+def _sorted_run(n, level, candidates, counted=False):
+    """The EnumerationRun of a level from its canonical codes, or when
+    counted, from its {code: count} dict."""
+    codes = tuple(sorted(level))
     return EnumerationRun(
         n, {"candidates": candidates, "duplicates": candidates - len(codes)},
-        tuple(sorted(codes)),
+        codes, tuple(map(level.__getitem__, codes)) if counted else None,
     )
 
 

@@ -10,13 +10,17 @@ contain element i form the periodic table var[i], so the subsets a
 constraint rejects are the AND of the var[i] over its low pair bits, AND NOT
 the var[k] over its low result bits, on the blocks whose h holds its high
 pair bits and misses its high result bits. One block is one Python integer
-of 2^B bits, so memory stays bounded whatever n is.
+of 2^B bits, so memory stays bounded whatever n is. A structure of at most
+B elements fits one block, and the closed table of a parent counts each
+structure one element larger with one AND per new join (count_closed_below).
 
 The plain scan this kernel is tested against is tests/_pycount.py.
 """
 
 from functools import cache
 from itertools import compress
+
+from subsemi.errors import SizeLimitError
 
 BLOCK_BITS = 16
 
@@ -71,6 +75,32 @@ def _blocks(n, constraints):
 def count_closed(n, constraints):
     """Number of subsets of {0..n-1} closed under every constraint."""
     return sum(closed.bit_count() for _, closed in _blocks(n, constraints))
+
+
+def closed_table(n, constraints):
+    """The closed table of a structure that fits one block: bit s is set iff
+    subset s of {0..n-1} is closed under every constraint."""
+    if n > BLOCK_BITS:
+        raise SizeLimitError(f"a closed table holds one block, so n <= {BLOCK_BITS}; got {n}")
+    ((_, closed),) = _blocks(n, constraints)
+    return closed
+
+
+def count_closed_below(n, closed, joins):
+    """Number of closed subsets of a structure grown by one element, n, below
+    some of the others.
+
+    closed is the closed table of elements 0..n-1 from closed_table, and
+    joins lists (x, the join of x and n) for each x not above n. A closed
+    set without n is a closed set of the old elements; one with n is such a
+    set plus n that holds the join of x and n whenever it holds x, which is
+    one AND per pair of tables.
+    """
+    var = _var_tables(n)
+    holding = closed
+    for x, k in joins:
+        holding &= ~var[x] | var[k]
+    return closed.bit_count() + holding.bit_count()
 
 
 def enumerate_closed(n, constraints):

@@ -157,24 +157,23 @@ class JoinSemilattice(Poset):
 def to_semilattice(p):
     """The join-semilattice on a poset's order, with the join of each
     incomparable pair; raises JoinMissingError(i, j) for the first pair
-    i < j that has no least upper bound."""
+    i < j that has no least upper bound.
+
+    The common upper bounds of i and j have a least element k exactly when
+    they are the up-set of k, so each join is one lookup by up-set.
+    """
     n = p.n
     up = p.up
+    element_of = {m: k for k, m in enumerate(up)}
     joins = []
     for i in range(n):
         for j in range(i + 1, n):
             if up[i] >> j & 1 or up[j] >> i & 1:
                 continue
-            common = up[i] & up[j]
-            m = common
-            while m:
-                k = (m & -m).bit_length() - 1
-                if common & up[k] == common:
-                    joins.append((i, j, k))
-                    break
-                m &= m - 1
-            else:
+            k = element_of.get(up[i] & up[j])
+            if k is None:
                 raise JoinMissingError(i, j)
+            joins.append((i, j, k))
     # with every pair joined, the join of all elements is the one maximal element
     top = next(i for i in range(n) if up[i] == 1 << i)
     return JoinSemilattice(up, tuple(joins), top)

@@ -14,19 +14,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from subsemi import analysis, catalog
-from subsemi.counting import (
-    count_subuniverses_checked,
-    enumerate_subuniverses,
-    sigma,
-    sigma_trace_bound,
-)
-from subsemi.enumeration import (
-    enumerate_semilattices,
-    pool_map,
-    process_pool,
-    random_semilattice,
-)
-from subsemi.order import poset_from_code, to_semilattice
+from subsemi.counting import enumerate_subuniverses, sigma, sigma_trace_bound
+from subsemi.enumeration import enumerate_semilattices, process_pool, random_semilattice
 
 CLAIMS = (
     ("i", 4, Fraction(25), "H5"),
@@ -66,24 +55,15 @@ class ClaimCheck:
     notes: str = ""
 
 
-def _checked_count(code):
-    """|Sub| of the semilattice a canonical code encodes, by both counting
-    algorithms; raises when they disagree, in a pool's worker or here."""
-    return count_subuniverses_checked(to_semilattice(poset_from_code(code))).count
-
-
 def _rank_data(n, workers=1):
-    # generation and the counts share one pool, so each code of level n is
-    # decoded and counted in a worker; map keeps code order, so the report is
-    # the same for any worker count
+    # the worker that generates a structure of level n counts it, by both
+    # algorithms; the run's counts line up with its sorted codes, so the
+    # report is the same for any worker count
     with process_pool(workers) as pool:
-        run = enumerate_semilattices(n, pool)
-        # a count takes well under a millisecond, so chunks are larger than
-        # generation's to keep the hand-off small beside the work
-        counts = pool_map(pool, _checked_count, run.codes, chunksize=256)
-        by_value = {}
-        for code, count in zip(run.codes, counts):
-            by_value.setdefault(count, []).append(code)
+        run = enumerate_semilattices(n, pool, counted=True)
+    by_value = {}
+    for code, count in zip(run.codes, run.counts):
+        by_value.setdefault(count, []).append(code)
     values = tuple(sorted(by_value, reverse=True))
     witnesses = {v: tuple(sorted(c.hex() for c in by_value[v])) for v in values}
     return values, witnesses

@@ -183,6 +183,8 @@ BAD_SETTINGS = [
     ({}, ["count", "--named", "C1", "--k", "1024"], "--k must be at most 1023, got 1024"),
     ({}, ["sigma", "--named", "H5", "--k", "2000", "--json"],
      "--k must be at most 1023, got 2000"),
+    ({}, ["rank", "--n", "18", "--ceiling", "18"],
+     "counted enumeration limited to n <= 17, got 18"),
 ]
 
 
@@ -267,16 +269,16 @@ def test_verify_theorem_table_prints_witness_covers(capsys, monkeypatch, enumera
     results = []
     real_verify = cli.verifier.verify_theorem
 
-    def counted(size, pool=None):
+    def shared_run(size, pool=None, counted=False):
         calls.append(size)
-        return enumerated(size)
+        return enumerated(size, counted=counted)
 
     def recorded(*args, **kwargs):
         results.append(real_verify(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli.verifier, "enumerate_semilattices", counted)
-    monkeypatch.setattr(cli, "enumerate_semilattices", counted)
+    monkeypatch.setattr(cli.verifier, "enumerate_semilattices", shared_run)
+    monkeypatch.setattr(cli, "enumerate_semilattices", shared_run)
     monkeypatch.setattr(cli.verifier, "verify_theorem", recorded)
     code, out, _ = run(capsys, "verify-theorem", "--n", str(n), "--workers", "1")
     assert code == 1 and calls == [n]

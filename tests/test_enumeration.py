@@ -254,3 +254,12 @@ def test_output_order_is_sorted():
         assert all(a < b for a, b in zip(run.codes, run.codes[1:]))
         for sl, code in zip(run.structures, run.codes):
             assert code == canonical_form(sl).code
+
+
+def test_counted_run_limit():
+    # a counted level reuses its parents' closed tables, which fit one block
+    limit = enumeration.kernel.BLOCK_BITS + 1
+    with pytest.raises(SizeLimitError):
+        enumerate_semilattices(limit + 1, counted=True)
+    assert enumerate_semilattices(3, counted=True).counts == (7, 8)
+    assert enumerate_semilattices(3).counts is None

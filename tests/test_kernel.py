@@ -7,7 +7,8 @@ import _pycount
 from subsemi import kernel
 from subsemi.catalog import build_named, catalog_ids, chain
 from subsemi.counting import PartialBinaryAlgebra, count_subuniverses_split
-from subsemi.enumeration import random_semilattice
+from subsemi.enumeration import _upclosed_extensions, random_semilattice
+from subsemi.errors import SizeLimitError
 from subsemi.kernel import count_closed, enumerate_closed
 from subsemi.order import Poset, to_semilattice
 
@@ -117,3 +118,26 @@ def test_kernel_paths_agree_on_dense_partial_algebras(n):
         count = count_closed(n, cons)
         assert count == len(enumerate_closed(n, cons))
         assert count == count_subuniverses_split(pa, 0).count
+
+
+def test_count_closed_below_matches_full_scans(all_structures):
+    # every extension of every parent up to 7 elements, kept or not: the
+    # parent's table plus one AND per new join counts the child's closed sets
+    for pn, parents in all_structures.items():
+        for parent in parents:
+            closed = kernel.closed_table(pn, parent.closure_constraints())
+            assert closed.bit_count() == count_closed(pn, parent.closure_constraints())
+            for u in _upclosed_extensions(parent.up):
+                child = to_semilattice(Poset(parent.up + (u | 1 << pn,)))
+                joins = [(i, k) for i, j, k in child.nontrivial_joins if j == pn]
+                cons = child.closure_constraints()
+                below = kernel.count_closed_below(pn, closed, joins)
+                assert below == count_closed(pn + 1, cons) \
+                    == _pycount.count_closed(pn + 1, cons)
+
+
+def test_closed_table_holds_one_block():
+    n = kernel.BLOCK_BITS
+    assert kernel.closed_table(n, chain(n).closure_constraints()) == (1 << (1 << n)) - 1
+    with pytest.raises(SizeLimitError):
+        kernel.closed_table(n + 1, chain(n + 1).closure_constraints())

@@ -125,3 +125,13 @@ def test_trace_bound_lists_nothing():
     bound = {"_close", "_count_traces", "sigma_trace_bound"}
     assert _counting_functions_naming(bound, {"kernel", "enumerate_subuniverses"}) \
         == (bound, [])
+
+
+def test_verifier_neither_decodes_nor_scans():
+    # the worker that generates a structure counts it from its parent, so
+    # the verifier reads the run's counts and decodes no code to recount it
+    tree = next(tree for path, tree in _package_modules() if path.name == "verifier.py")
+    names = [(getattr(node, "id", None) or getattr(node, "attr", None)
+              or getattr(node, "name", None) or getattr(node, "module", None))
+             for node in ast.walk(tree)]
+    assert {"poset_from_code", "kernel"} & set(names) == set()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from subsemi import analysis, cli, counting, order, verifier
+from subsemi import analysis, cli, counting, enumeration, order, verifier
 from subsemi.catalog import build_named, catalog_ids
 from subsemi.order import canonical_form
 
@@ -71,7 +72,7 @@ def shared_runs(enumerated, monkeypatch):
     """Let verifier.rank rank the suite's shared runs instead of generating
     each size again."""
     monkeypatch.setattr(verifier, "enumerate_semilattices",
-                        lambda n, pool=None: enumerated(n))
+                        lambda n, pool=None, counted=False: enumerated(n, counted=counted))
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -171,22 +172,53 @@ def test_no_count_in_excluded_interval_n6():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cross_check_guards_pooled_counts(monkeypatch, workers):
-    # the patch is in place before rank opens its pool, so forked workers
-    # count with the wrong split counter too, and their error reaches rank
-    real = counting.count_subuniverses_split
+    # the split counter is patched where the generating worker calls it,
+    # before rank opens its pool, so forked workers count with the wrong
+    # split counter too, and their error reaches rank
+    real = enumeration.count_subuniverses_split
 
     def off_by_one(a, pivot, k=counting.DEFAULT_K):
         return SimpleNamespace(count=real(a, pivot, k).count + 1)
 
-    monkeypatch.setattr(counting, "count_subuniverses_split", off_by_one)
+    monkeypatch.setattr(enumeration, "count_subuniverses_split", off_by_one)
     with pytest.raises(AssertionError, match="counting algorithms disagree"):
         verifier.rank(6, workers=workers)
 
 
+def test_cross_check_guards_counts_under_O(run_optimized):
+    # python -O strips assert statements, not the raise of the cross-check
+    proc = run_optimized(
+        "from types import SimpleNamespace\n"
+        "from subsemi import enumeration, verifier\n"
+        "real = enumeration.count_subuniverses_split\n"
+        "enumeration.count_subuniverses_split = lambda a, pivot: "
+        "SimpleNamespace(count=real(a, pivot).count + 1)\n"
+        "try:\n"
+        "    verifier.rank(6)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("counting algorithms disagree")
+
+
+def test_parents_disagreeing_on_a_count_raise(monkeypatch):
+    # a structure reached from two parents must get one count from both
+    real = enumeration._count_children
+    offsets = iter(range(10 ** 6))
+
+    def shifted(parent_up, children):
+        offset = next(offsets)
+        return {code: count + offset for code, count in real(parent_up, children).items()}
+
+    monkeypatch.setattr(enumeration, "_count_children", shifted)
+    with pytest.raises(AssertionError, match="differently"):
+        verifier.rank(6)
+
+
 def test_pooled_rank_builds_no_structure_here(monkeypatch):
-    # with workers, level n is decoded and counted in the pool; the family
+    # with workers, level n is generated and counted in the pool; the family
     # members are built before the patch, so any call recorded in this
-    # process would build an enumerated structure
+    # process would build a structure of the run
     for core in analysis.FAMILY_CORES:
         analysis.family_codes(core, 7)
     real = order.to_semilattice
@@ -201,7 +233,39 @@ def test_pooled_rank_builds_no_structure_here(monkeypatch):
             monkeypatch.setattr(module, "to_semilattice", recorded)
     pooled = verifier.rank(7, workers=2)
     assert built == []
-    # the recorder sees the serial run build every structure of the level
+    # the serial run builds each of the 53 parents once, for its closed
+    # table, and no structure of level 7
     serial = verifier.rank(7, workers=1)
-    assert built == [7] * 222
+    assert built == [6] * 53
     assert pooled == serial
+
+
+# OEIS A006966: lattices on 0, 1, 2, ... elements; adding a bottom makes the
+# N-element join-semilattices the lattices on N + 1 elements
+A006966 = (1, 1, 1, 1, 2, 5, 15, 53, 222, 1078)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rank_witnesses_cover_the_universe(n, shared_runs):
+    witnesses = verifier.rank(n).witnesses
+    assert sum(map(len, witnesses.values())) == A006966[n + 1]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_counted_run_matches_decoded_recount(n, enumerated):
+    # the decode-and-recount path, both algorithms on the canonical labels,
+    # is the oracle for the counts made from each structure's parent
+    run = enumerated(n, counted=True)
+    assert run.codes == enumerated(n).codes
+    assert run.counts == tuple(
+        counting.count_subuniverses_checked(order.to_semilattice(order.poset_from_code(c))).count
+        for c in run.codes)
+
+
+@pytest.mark.slow
+def test_rank_n10_json_digest(capsys):
+    # the count path past the default ceiling, against the digest of the
+    # report made by decoding and recounting every structure
+    assert cli.main(["rank", "--n", "10", "--json", "--ceiling", "10", "--workers", "2"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "8fd9a586eda7a6e5a987fe2fa629f1eaa7d2bcd643a1f0acfc607cf0260e0111"
