@@ -266,7 +266,6 @@ def build_named(id_):
 @dataclass(frozen=True)
 class ReconstructionMatch:
     structure: JoinSemilattice
-    pivot: int
     parts: tuple  # (avoiding, containing disjoint, containing meeting)
 
 
@@ -279,8 +278,9 @@ def reconstruct_figure_structures():
     avoiding the pivot must number exactly the previous structure's count
     and deleting the pivot must leave that structure, with the
     containing-side parts (2, meets) as required. All matches are kept, in
-    ascending canonical-code order and each with its first matching pivot,
-    so a target is unique up to isomorphism when it has one match.
+    ascending canonical-code order and each with the parts of its first
+    matching pivot, so a target is unique up to isomorphism when it has one
+    match.
     """
     results = {}
     base_codes = {"B4": {canonical_form(build_named("B4").structure).code}}
@@ -300,14 +300,10 @@ def reconstruct_figure_structures():
                 if canonical_form(rest).code not in base_codes[base]:
                     continue
                 parts = split_parts(sl, v)
-                if (parts.avoiding, parts.containing_disjoint,
-                        parts.containing_meeting) != (base_total, 2, meets):
+                if parts != (base_total, 2, meets):
                     continue
                 codes.add(code)
-                matches.append(ReconstructionMatch(
-                    structure=sl, pivot=v,
-                    parts=(parts.avoiding, parts.containing_disjoint,
-                           parts.containing_meeting)))
+                matches.append(ReconstructionMatch(structure=sl, parts=parts))
                 break
         if not matches:
             raise NoMatchError(

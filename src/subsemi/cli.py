@@ -2,6 +2,10 @@
 classification, verification, and export.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or input error.
+
+Each command imports the modules it runs when it starts, so a command loads
+only what it uses: `count --input F` loads no enumeration, and a serial run
+never loads the process-pool modules.
 """
 
 import argparse
@@ -13,18 +17,14 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from subsemi import analysis, catalog, verifier
 from subsemi.counting import DEFAULT_K, count_subuniverses_checked
-from subsemi.enumeration import enumerate_semilattices, process_pool
-from subsemi.errors import ConfigError, SizeLimitError, SubsemiError, UnknownStructureError
-from subsemi.jsonio import (
+from subsemi.errors import (
+    ConfigError,
     FormatError,
-    count_report_to_dict,
-    load_structure,
-    structure_to_dict,
-    structure_to_dot,
+    SizeLimitError,
+    SubsemiError,
+    UnknownStructureError,
 )
-from subsemi.order import poset_from_code
 
 
 DEFAULT_CEILING = 9
@@ -87,20 +87,24 @@ def _dump(data):
 def _resolve_input(args):
     """(structure, labels) from --named or --input."""
     if getattr(args, "named", None):
+        from subsemi import catalog
         ns = catalog.build_named(args.named)
         return ns.structure, ns.labels
     if getattr(args, "input", None):
+        from subsemi.jsonio import load_structure
         return load_structure(args.input)
     raise FormatError("one of --named or --input is required")
 
 
 def cmd_count(args):
+    from subsemi.jsonio import count_report_to_dict
     structure, _ = _resolve_input(args)
     print(_dump(count_report_to_dict(count_subuniverses_checked(structure, args.k))))
     return 0
 
 
 def cmd_sigma(args):
+    from subsemi.jsonio import count_report_to_dict
     structure, _ = _resolve_input(args)
     report = count_subuniverses_checked(structure, args.k)
     if args.json:
@@ -111,6 +115,7 @@ def cmd_sigma(args):
 
 
 def cmd_catalog(args):
+    from subsemi import catalog
     rows = []
     for id_ in catalog.catalog_ids():
         ns = catalog.build_named(id_)
@@ -149,6 +154,8 @@ def _writing_out(path):
 
 
 def cmd_enumerate(args):
+    from subsemi.enumeration import enumerate_semilattices, process_pool
+    from subsemi.jsonio import structure_to_dict
     outdir = Path(args.out) if args.out else None
     if outdir:
         # a bad path fails before the run rather than after it
@@ -182,6 +189,7 @@ def cmd_enumerate(args):
 
 
 def cmd_rank(args):
+    from subsemi import verifier
     report = verifier.rank(args.n, workers=args.workers)
     if args.json:
         print(_dump(verifier.ranking_to_dict(report)))
@@ -198,6 +206,7 @@ def cmd_rank(args):
 
 
 def cmd_classify(args):
+    from subsemi import analysis
     structure, labels = _resolve_input(args)
     if not hasattr(structure, "top"):
         raise FormatError("classification needs a total semilattice (covers format)")
@@ -218,6 +227,8 @@ def cmd_classify(args):
 
 
 def cmd_verify_theorem(args):
+    from subsemi import verifier
+    from subsemi.order import poset_from_code
     result = verifier.verify_theorem(args.n, workers=args.workers)
     if args.json:
         print(_dump(verifier.theorem_to_dict(result)))
@@ -236,6 +247,7 @@ def cmd_verify_theorem(args):
 
 
 def cmd_verify_lemmas(args):
+    from subsemi import verifier
     report = verifier.verify_lemmas()
     if args.json:
         print(_dump(verifier.lemmas_to_dict(report)))
@@ -252,6 +264,8 @@ def cmd_verify_lemmas(args):
 
 
 def cmd_export_dot(args):
+    from subsemi import catalog
+    from subsemi.jsonio import load_structure, structure_to_dot
     try:
         ns = catalog.build_named(args.id)
         structure, labels = ns.structure, ns.labels

@@ -184,29 +184,18 @@ def count_subuniverses_checked(a, k=DEFAULT_K):
     return report
 
 
-@dataclass(frozen=True)
-class SplitParts:
-    """The three-way pivot decomposition used throughout the case analyses."""
-
-    pivot: int
-    avoiding: int
-    containing_disjoint: int
-    containing_meeting: int
-
-    @property
-    def total(self):
-        return self.avoiding + self.containing_disjoint + self.containing_meeting
-
-
 def split_parts(a, pivot):
-    """Counts (pivot not in S; pivot in S and S disjoint from rest; pivot in S meeting rest)
-    for a semilattice a, where rest is every element except the pivot and the top."""
+    """The pivot decomposition used throughout the case analyses, as the
+    tuple (avoiding, containing_disjoint, containing_meeting): the closed S
+    with the pivot not in S; with it in S and S disjoint from rest; with it
+    in S and S meeting rest, where rest is every element of the semilattice
+    a except the pivot and the top."""
     rest_mask = ((1 << a.n) - 1) & ~(1 << pivot) & ~(1 << a.top)
     clauses = a.closure_constraints()
     avoiding = _count(a.n, clauses, 0, 1 << pivot)
     disjoint = _count(a.n, clauses, 1 << pivot, rest_mask)
     total = avoiding + _count(a.n, clauses, 1 << pivot, 0)
-    return SplitParts(pivot, avoiding, disjoint, total - avoiding - disjoint)
+    return avoiding, disjoint, total - avoiding - disjoint
 
 
 # -- trace bound --------------------------------------------------------

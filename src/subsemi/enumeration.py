@@ -34,7 +34,6 @@ bruteforce_semilattices is the independent oracle for small n: it scans
 all labeled partial orders directly.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -69,8 +68,12 @@ class EnumerationRun:
 
 def process_pool(workers):
     """The one process pool of a run: a pool of `workers` processes, or a null
-    context yielding None when workers is 1 and all work stays in this process."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    context yielding None when workers is 1 and all work stays in this process.
+    A serial run never imports the pool's modules."""
+    if workers <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def pool_map(pool, fn, items):

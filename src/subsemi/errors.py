@@ -34,6 +34,10 @@ class ConfigError(SubsemiError, ValueError):
     """A flag or environment variable holds a value the program cannot use."""
 
 
+class FormatError(SubsemiError, ValueError):
+    """Malformed structure file or input; message names the offending field."""
+
+
 class UnknownStructureError(SubsemiError, KeyError):
     """Catalog id not recognised."""
 

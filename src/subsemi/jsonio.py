@@ -9,17 +9,13 @@ Cover and join entries may reference elements by index or by label.
 import json
 
 from subsemi.counting import PartialBinaryAlgebra
-from subsemi.errors import SubsemiError
+from subsemi.errors import FormatError, SubsemiError
 from subsemi.order import JoinSemilattice, Poset, to_semilattice
 
 
 # A join-format n is a bare number in the file, and the parser builds one
 # label per element; the bound keeps a stated n from exhausting memory.
 MAX_JOIN_N = 1 << 16
-
-
-class FormatError(SubsemiError, ValueError):
-    """Malformed structure file; message names the offending field."""
 
 
 def _resolve(entry, labels, field):

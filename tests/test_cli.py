@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subsemi import catalog, cli
+from subsemi import catalog, cli, enumeration, verifier
 from subsemi.cli import main
 from subsemi.counting import BRUTE_MAX_N
 from subsemi.jsonio import structure_from_dict
@@ -143,9 +143,9 @@ def test_ceiling_enforced(capsys, monkeypatch):
         raise AssertionError("work started above the ceiling")
 
     # the default ceiling is checked before any enumeration
-    monkeypatch.setattr(cli, "enumerate_semilattices", refuse)
-    monkeypatch.setattr(cli.verifier, "rank", refuse)
-    monkeypatch.setattr(cli.verifier, "verify_theorem", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_semilattices", refuse)
+    monkeypatch.setattr(verifier, "rank", refuse)
+    monkeypatch.setattr(verifier, "verify_theorem", refuse)
     for command in ("enumerate", "rank", "verify-theorem"):
         code, out, err = run(capsys, command, "--n", "10")
         assert (code, out) == (2, "")
@@ -267,7 +267,7 @@ def test_verify_theorem_table_prints_witness_covers(capsys, monkeypatch, enumera
     # with that code, and the command enumerates once
     calls = []
     results = []
-    real_verify = cli.verifier.verify_theorem
+    real_verify = verifier.verify_theorem
 
     def shared_run(size, pool=None, counted=False):
         calls.append(size)
@@ -277,9 +277,9 @@ def test_verify_theorem_table_prints_witness_covers(capsys, monkeypatch, enumera
         results.append(real_verify(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cli.verifier, "enumerate_semilattices", shared_run)
-    monkeypatch.setattr(cli, "enumerate_semilattices", shared_run)
-    monkeypatch.setattr(cli.verifier, "verify_theorem", recorded)
+    monkeypatch.setattr(verifier, "enumerate_semilattices", shared_run)
+    monkeypatch.setattr(enumeration, "enumerate_semilattices", shared_run)
+    monkeypatch.setattr(verifier, "verify_theorem", recorded)
     code, out, _ = run(capsys, "verify-theorem", "--n", str(n), "--workers", "1")
     assert code == 1 and calls == [n]
     by_code = dict(zip(enumerated(n).codes, enumerated(n).structures))
@@ -369,7 +369,7 @@ def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, argv, target):
     def refuse(*args, **kwargs):
         raise AssertionError("generation started before --out was checked")
 
-    monkeypatch.setattr(cli, "enumerate_semilattices", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_semilattices", refuse)
     (tmp_path / "a_file").write_text("")
     path = tmp_path / target
     reason = {"a_file": "File exists", ".": "Is a directory",

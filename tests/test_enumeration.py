@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 
@@ -234,7 +235,7 @@ def test_worker_determinism(monkeypatch):
             pools.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     with enumeration.process_pool(2) as pool:
         parallel = enumerate_semilattices(6, pool)
     assert len(pools) == 1   # one for every level of the run

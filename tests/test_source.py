@@ -31,6 +31,25 @@ def test_only_the_cli_reads_the_environment():
     assert readers and all(r.startswith("cli.py:") for r in readers)
 
 
+def test_package_init_imports_no_submodule():
+    # `import subsemi` loads none of its modules; the package's __getattr__
+    # imports each on first use
+    tree = next(tree for path, tree in _package_modules() if path.name == "__init__.py")
+    found = []
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "subsemi"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "subsemi":
+                found.append(f"{'.' * node.level}{node.module or ''}:{node.lineno}")
+        todo.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
 def test_no_module_level_empty_container():
     # a module-level dict, list or set that code fills is state shared by
     # every caller in the process; a process-wide cache must be a functools
