@@ -23,7 +23,6 @@ from subsemi.counting import (
     sigma_value,
     split_parts,
 )
-from subsemi.enumeration import enumerate_semilattices
 from subsemi.errors import (
     NoMatchError,
     NoUniqueBottomError,
@@ -282,6 +281,9 @@ def reconstruct_figure_structures():
     matching pivot, so a target is unique up to isomorphism when it has one
     match.
     """
+    # imported here, so the named structures that need no search load no
+    # enumeration
+    from subsemi.enumeration import enumerate_semilattices
     results = {}
     base_codes = {"B4": {canonical_form(build_named("B4").structure).code}}
     for target, (n, total, base, base_total, meets) in _FIGURE_TARGETS.items():

@@ -154,7 +154,7 @@ def _writing_out(path):
 
 
 def cmd_enumerate(args):
-    from subsemi.enumeration import enumerate_semilattices, process_pool
+    from subsemi.enumeration import enumerate_semilattices
     from subsemi.jsonio import structure_to_dict
     outdir = Path(args.out) if args.out else None
     if outdir:
@@ -162,8 +162,7 @@ def cmd_enumerate(args):
         with _writing_out(args.out):
             outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    with process_pool(args.workers) as pool:
-        run = enumerate_semilattices(args.n, pool)
+    run = enumerate_semilattices(args.n, args.workers)
     elapsed = time.perf_counter() - t0
     manifest = {
         "n": run.n,

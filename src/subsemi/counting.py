@@ -4,8 +4,9 @@ Two independent algorithms are provided: a full 2^n closed-subset count
 (count_subuniverses_bruteforce, backed by the bit-parallel truth-table
 kernel in subsemi.kernel) and a recursive case split on a pivot element
 with forced-in/forced-out propagation (count_subuniverses_split);
-count_subuniverses_checked runs both and raises when they disagree.
-Relative counts sigma_k are exact dyadic rationals throughout.
+count_subuniverses_checked runs both and raises, through
+check_split_agrees, when they disagree. Relative counts sigma_k are exact
+dyadic rationals throughout.
 """
 
 from dataclasses import dataclass
@@ -174,13 +175,18 @@ def count_subuniverses_split(a, pivot, k=DEFAULT_K):
     return SubuniverseReport(count=count, k=k, n=a.n)
 
 
+def check_split_agrees(a, brute):
+    """Raise AssertionError unless the split counter, pivot 0, counts brute
+    subuniverses of a; brute is the count the other algorithm found."""
+    split = count_subuniverses_split(a, 0).count
+    if split != brute:
+        raise AssertionError(f"counting algorithms disagree: {brute} != {split} on {a!r}")
+
+
 def count_subuniverses_checked(a, k=DEFAULT_K):
     """The brute-force count, raising AssertionError unless the split count agrees."""
     report = count_subuniverses_bruteforce(a, k)
-    split = count_subuniverses_split(a, 0, k).count
-    if split != report.count:
-        raise AssertionError(
-            f"counting algorithms disagree: {report.count} != {split} on {a!r}")
+    check_split_agrees(a, report.count)
     return report
 
 

@@ -29,18 +29,14 @@ its parent, plus each closed set T of the parent with the new element e
 added, when T holds e v x for every x in T. So the parent's closed table,
 built once, and one AND per new join give the brute-force count, and the
 split counter runs on the child as it stands.
-
-bruteforce_semilattices is the independent oracle for small n: it scans
-all labeled partial orders directly.
 """
 
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import product
 
 from subsemi import kernel
-from subsemi.counting import count_subuniverses_checked, count_subuniverses_split
+from subsemi.counting import check_split_agrees, count_subuniverses_checked
 from subsemi.errors import SizeLimitError
 from subsemi.order import (
     JoinSemilattice,
@@ -49,8 +45,6 @@ from subsemi.order import (
     poset_from_code,
     to_semilattice,
 )
-
-BRUTE_ENUM_MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -178,10 +172,7 @@ def _count_children(parent_up, children):
             parent_up + (u | 1 << pn,),
             tuple(sorted(parent.nontrivial_joins + tuple((x, pn, k) for x, k in new))),
             parent.top)
-        split = count_subuniverses_split(child, 0).count
-        if split != brute:
-            raise AssertionError(
-                f"counting algorithms disagree: {brute} != {split} on {child!r}")
+        check_split_agrees(child, brute)
         counts[code] = brute
     return counts
 
@@ -215,17 +206,17 @@ def _expand_parent(parent_up, counted=False):
     return len(extensions), dict.fromkeys(children)
 
 
-def enumerate_semilattices(n, pool=None, counted=False):
+def enumerate_semilattices(n, workers=1, counted=False):
     """All n-element join-semilattices up to isomorphism, deterministically ordered.
 
     Each level is kept as the set of its canonical codes; the next level's
     parents are decoded from them in sorted order. The run holds level n's
     sorted codes, and its structures are built from them on first use.
-    Nothing is kept between calls. With a pool from process_pool, every level
-    runs in that pool's workers. When counted, the worker that generates a
-    structure of level n also counts its subuniverses, by both algorithms,
-    and the run's counts line up with its codes; the parent's closed table
-    must fit one kernel block.
+    Nothing is kept between calls. With more than one worker, every level
+    runs in one pool of that many processes, opened for the run. When
+    counted, the worker that generates a structure of level n also counts
+    its subuniverses, by both algorithms, and the run's counts line up with
+    its codes; the parent's closed table must fit one kernel block.
     """
     if n < 1:
         raise SizeLimitError("n must be at least 1")
@@ -238,80 +229,24 @@ def enumerate_semilattices(n, pool=None, counted=False):
              count_subuniverses_checked(to_semilattice(single)).count
              if counted and n == 1 else None}
     candidates = 1
-    for size in range(2, n + 1):
-        expand = partial(_expand_parent, counted=True) if counted and size == n \
-            else _expand_parent
-        parent_ups = [poset_from_code(code).up for code in sorted(level)]
-        level = {}
-        candidates = 0
-        # batches are consumed as they arrive: holding a whole level's
-        # batches at once raises the peak memory of a run
-        for extensions, children in pool_map(pool, expand, parent_ups):
-            candidates += extensions
-            for code, count in children.items():
-                if level.setdefault(code, count) != count:
-                    raise AssertionError(
-                        f"two parents count structure {code.hex()} differently: "
-                        f"{level[code]} != {count}")
-    return _sorted_run(n, level, candidates, counted)
-
-
-def _sorted_run(n, level, candidates, counted=False):
-    """The EnumerationRun of a level from its canonical codes, or when
-    counted, from its {code: count} dict."""
+    with process_pool(workers) as pool:
+        for size in range(2, n + 1):
+            expand = partial(_expand_parent, counted=True) if counted and size == n \
+                else _expand_parent
+            parent_ups = [poset_from_code(code).up for code in sorted(level)]
+            level = {}
+            candidates = 0
+            # batches are consumed as they arrive: holding a whole level's
+            # batches at once raises the peak memory of a run
+            for extensions, children in pool_map(pool, expand, parent_ups):
+                candidates += extensions
+                for code, count in children.items():
+                    if level.setdefault(code, count) != count:
+                        raise AssertionError(
+                            f"two parents count structure {code.hex()} differently: "
+                            f"{level[code]} != {count}")
     codes = tuple(sorted(level))
     return EnumerationRun(
         n, {"candidates": candidates, "duplicates": candidates - len(codes)},
         codes, tuple(map(level.__getitem__, codes)) if counted else None,
     )
-
-
-def bruteforce_semilattices(n):
-    """Oracle enumeration: scan all labeled posets, keep join-total ones, dedup.
-
-    Deliberately independent of the extension generator; limited to n <= 5.
-    """
-    if n > BRUTE_ENUM_MAX_N:
-        raise SizeLimitError(f"brute-force enumeration limited to n <= {BRUTE_ENUM_MAX_N}")
-    if n < 1:
-        raise SizeLimitError("n must be at least 1")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
-    candidates = 0
-    for assignment in product((0, 1, 2), repeat=len(pairs)):
-        up = [1 << i for i in range(n)]
-        for (i, j), state in zip(pairs, assignment):
-            if state == 1:
-                up[i] |= 1 << j
-            elif state == 2:
-                up[j] |= 1 << i
-        # transitivity
-        ok = True
-        for i in range(n):
-            m = up[i] & ~(1 << i)
-            acc = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                acc |= up[j]
-                m &= m - 1
-            if acc != up[i]:
-                ok = False
-                break
-        if not ok:
-            continue
-        # all joins exist
-        for i in range(n):
-            for j in range(i + 1, n):
-                common = up[i] & up[j]
-                if not any(
-                    common >> k & 1 and common & up[k] == common for k in range(n)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        candidates += 1
-        seen.add(canonical_form(Poset(tuple(up))).code)
-    return _sorted_run(n, seen, candidates)

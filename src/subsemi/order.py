@@ -79,23 +79,6 @@ class Poset:
     def minimal_elements(self):
         return [i for i in range(self.n) if self.down[i] == 1 << i]
 
-    def relabel(self, perm):
-        """New poset with element perm[i] renamed to i (perm maps new -> old)."""
-        n = self.n
-        pos = [0] * n
-        for new, old in enumerate(perm):
-            pos[old] = new
-        up = []
-        for new in range(n):
-            m = self.up[perm[new]]
-            r = 0
-            while m:
-                j = (m & -m).bit_length() - 1
-                r |= 1 << pos[j]
-                m &= m - 1
-            up.append(r)
-        return Poset(up)
-
     def __eq__(self, other):
         return isinstance(other, Poset) and self.up == other.up
 
@@ -375,8 +358,3 @@ def canonical_form(p):
     size = (n * n + 7) // 8
     code = bytes([n]) + (bits << (8 * size - n * n)).to_bytes(size, "big")
     return CanonicalForm(code=code, perm=tuple(perm))
-
-
-def are_isomorphic(a, b):
-    """Poset (or semilattice) isomorphism through canonical codes."""
-    return a.n == b.n and canonical_form(a).code == canonical_form(b).code

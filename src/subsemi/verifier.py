@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from subsemi import analysis, catalog
 from subsemi.counting import enumerate_subuniverses, sigma, sigma_trace_bound
-from subsemi.enumeration import enumerate_semilattices, process_pool, random_semilattice
+from subsemi.enumeration import enumerate_semilattices, random_semilattice
 
 CLAIMS = (
     ("i", 4, Fraction(25), "H5"),
@@ -59,8 +59,7 @@ def _rank_data(n, workers=1):
     # the worker that generates a structure of level n counts it, by both
     # algorithms; the run's counts line up with its sorted codes, so the
     # report is the same for any worker count
-    with process_pool(workers) as pool:
-        run = enumerate_semilattices(n, pool, counted=True)
+    run = enumerate_semilattices(n, workers, counted=True)
     by_value = {}
     for code, count in zip(run.codes, run.counts):
         by_value.setdefault(count, []).append(code)

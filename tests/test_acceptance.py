@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import bruteforce_semilattices
+
 from subsemi import analysis, verifier
 from subsemi.analysis import family_members
 from subsemi.catalog import build_named, chain, reconstruct_figure_structures
@@ -24,7 +26,7 @@ from subsemi.counting import (
     count_subuniverses_bruteforce,
     count_subuniverses_split,
 )
-from subsemi.enumeration import bruteforce_semilattices, enumerate_semilattices
+from subsemi.enumeration import enumerate_semilattices
 from subsemi.order import canonical_form
 
 

@@ -1,3 +1,5 @@
+from _oracles import are_isomorphic
+
 from subsemi import analysis
 from subsemi.analysis import (
     FAMILY_CORES,
@@ -8,7 +10,7 @@ from subsemi.analysis import (
     narrows,
 )
 from subsemi.catalog import build_named, chain, ordinal_sum
-from subsemi.order import are_isomorphic, canonical_form, to_semilattice
+from subsemi.order import canonical_form, to_semilattice
 
 
 def test_narrows_of_chain():

@@ -269,7 +269,7 @@ def test_verify_theorem_table_prints_witness_covers(capsys, monkeypatch, enumera
     results = []
     real_verify = verifier.verify_theorem
 
-    def shared_run(size, pool=None, counted=False):
+    def shared_run(size, workers=1, counted=False):
         calls.append(size)
         return enumerated(size, counted=counted)
 

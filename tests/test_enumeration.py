@@ -4,16 +4,17 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from _oracles import are_isomorphic, bruteforce_semilattices, relabel
+
 from subsemi import enumeration, order
 from subsemi.catalog import build_named, chain
 from subsemi.enumeration import (
     _twin_representatives,
     _upclosed_extensions,
-    bruteforce_semilattices,
     enumerate_semilattices,
 )
 from subsemi.errors import SizeLimitError
-from subsemi.order import Poset, are_isomorphic, canonical_form, poset_from_code
+from subsemi.order import Poset, canonical_form, poset_from_code
 
 KNOWN_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 15, 6: 53, 7: 222, 8: 1078, 9: 5994}
 # every extension of every parent counts as a candidate, whether or not the
@@ -37,8 +38,7 @@ def test_counts(n, enumerated):
 def test_counts_n10_in_parallel():
     # adding a bottom turns the 10-element join-semilattices into the
     # 11-element lattices, and OEIS A006966 gives 37,622 of those
-    with enumeration.process_pool(2) as pool:
-        run = enumerate_semilattices(10, pool)
+    run = enumerate_semilattices(10, workers=2)
     assert len(run.structures) == 37622
     assert run.stats == {"candidates": 109311, "duplicates": 71689}
 
@@ -93,7 +93,7 @@ def test_grown_extensions_match_subset_scan(enumerated):
     for n in range(1, 9):
         for code in enumerated(n).codes:
             p = poset_from_code(code)
-            for up in (p.up, p.relabel(range(n - 1, -1, -1)).up):
+            for up in (p.up, relabel(p, range(n - 1, -1, -1)).up):
                 assert _upclosed_extensions(up) == _scanned_extensions(up)
 
 
@@ -236,8 +236,7 @@ def test_worker_determinism(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    with enumeration.process_pool(2) as pool:
-        parallel = enumerate_semilattices(6, pool)
+    parallel = enumerate_semilattices(6, workers=2)
     assert len(pools) == 1   # one for every level of the run
     serial = enumerate_semilattices(6)
     assert len(pools) == 1

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import are_isomorphic
+
 from subsemi.catalog import build_named
 from subsemi.counting import PartialBinaryAlgebra, count_subuniverses_bruteforce
 from subsemi.jsonio import (
@@ -11,7 +13,7 @@ from subsemi.jsonio import (
     structure_to_dot,
     load_structure,
 )
-from subsemi.order import JoinSemilattice, are_isomorphic
+from subsemi.order import JoinSemilattice
 
 H5_DOC = {"labels": ["a", "b", "c", "d", "1"],
           "covers": [["a", "b"], ["b", "c"], ["c", "1"], ["d", "1"]]}

@@ -119,6 +119,47 @@ def test_every_module_is_imported_by_another():
     assert unused == []
 
 
+def _names_used(tree):
+    """Each name a Name, an Attribute or an imported alias uses in tree, with
+    the names of the functions it is used in."""
+    uses = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name.split(".")[-1] if isinstance(node, ast.alias) else None)
+        if name is not None:
+            uses.append((name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return uses
+
+
+def test_every_public_function_has_a_caller():
+    # a public function or method that no command, no module of the package
+    # and no benchmark calls serves only the tests, and belongs under tests/;
+    # a use inside its own def is no caller, and neither is its name in a
+    # string, such as _EXPORTS' entries or a docstring
+    defined = []
+    for path, tree in _package_modules():
+        bodies = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        defined += [(path.name, node.name) for body in bodies for node in body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")]
+    perfbench = Path(subsemi.__file__).resolve().parents[2] / "perfbench"
+    trees = [tree for _, tree in _package_modules()]
+    trees += [ast.parse(path.read_text(), filename=str(path))
+              for path in sorted(perfbench.rglob("*.py"))]
+    used = {name for tree in trees for name, inside in _names_used(tree)
+            if name not in inside}
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []
+
+
 def _counting_functions_naming(functions, names):
     """(the functions of counting.py found among functions, the uses of any
     of names inside them as function:line)."""

@@ -11,12 +11,11 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# the names `import subsemi` has always offered
+# the names `import subsemi` offers
 PUBLIC = {
     "CanonicalForm", "EnumerationRun", "JoinSemilattice", "NamedStructure",
     "PartialBinaryAlgebra", "Poset", "SubuniverseReport",
-    "are_isomorphic", "build_family_member", "build_named",
-    "bruteforce_semilattices", "canonical_form", "catalog_ids", "chain",
+    "build_family_member", "build_named", "canonical_form", "catalog_ids", "chain",
     "count_subuniverses_bruteforce", "count_subuniverses_split",
     "enumerate_semilattices", "enumerate_subuniverses", "glued_sum",
     "matches_family", "narrows", "ordinal_sum", "rank",
@@ -93,6 +92,14 @@ def test_count_from_file_loads_no_enumeration(tmp_path):
     assert "subsemi.jsonio" in loaded
     assert loaded & {"subsemi.verifier", "subsemi.enumeration", "subsemi.analysis",
                      "concurrent.futures"} == set()
+
+
+def test_named_count_loads_no_enumeration():
+    # only the figure-only ids enumerate, when their shapes are rebuilt
+    code, loaded = _loaded_by_command("count", "--named", "K3")
+    assert code == 0
+    assert "subsemi.catalog" in loaded
+    assert "subsemi.enumeration" not in loaded
 
 
 @pytest.mark.parametrize("workers, pooled", [("1", False), ("2", True)])

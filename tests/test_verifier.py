@@ -72,7 +72,7 @@ def shared_runs(enumerated, monkeypatch):
     """Let verifier.rank rank the suite's shared runs instead of generating
     each size again."""
     monkeypatch.setattr(verifier, "enumerate_semilattices",
-                        lambda n, pool=None, counted=False: enumerated(n, counted=counted))
+                        lambda n, workers=1, counted=False: enumerated(n, counted=counted))
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -172,15 +172,15 @@ def test_no_count_in_excluded_interval_n6():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cross_check_guards_pooled_counts(monkeypatch, workers):
-    # the split counter is patched where the generating worker calls it,
-    # before rank opens its pool, so forked workers count with the wrong
-    # split counter too, and their error reaches rank
-    real = enumeration.count_subuniverses_split
+    # the split counter is patched where the cross-check calls it, before
+    # rank opens its pool, so forked workers count with the wrong split
+    # counter too, and their error reaches rank
+    real = counting.count_subuniverses_split
 
     def off_by_one(a, pivot, k=counting.DEFAULT_K):
         return SimpleNamespace(count=real(a, pivot, k).count + 1)
 
-    monkeypatch.setattr(enumeration, "count_subuniverses_split", off_by_one)
+    monkeypatch.setattr(counting, "count_subuniverses_split", off_by_one)
     with pytest.raises(AssertionError, match="counting algorithms disagree"):
         verifier.rank(6, workers=workers)
 
@@ -189,9 +189,9 @@ def test_cross_check_guards_counts_under_O(run_optimized):
     # python -O strips assert statements, not the raise of the cross-check
     proc = run_optimized(
         "from types import SimpleNamespace\n"
-        "from subsemi import enumeration, verifier\n"
-        "real = enumeration.count_subuniverses_split\n"
-        "enumeration.count_subuniverses_split = lambda a, pivot: "
+        "from subsemi import counting, verifier\n"
+        "real = counting.count_subuniverses_split\n"
+        "counting.count_subuniverses_split = lambda a, pivot: "
         "SimpleNamespace(count=real(a, pivot).count + 1)\n"
         "try:\n"
         "    verifier.rank(6)\n"
