@@ -121,10 +121,23 @@ class NamedStructure:
     structure: object                 # JoinSemilattice or PartialBinaryAlgebra
     labels: tuple
     expected_sigma5: Fraction         # derived value, authoritative
-    reported_sigma5: tuple               # reference values; >1 entry = contradiction
-    tolerance: Fraction               # 0 for exact reports, 1/10 for rounded ones
+    reported_sigma5: tuple            # reference values; >1 entry = contradiction
     provenance: str
+    tolerance: Fraction = Fraction(0)  # 0 for exact reports, 1/10 for rounded ones
 
+
+# (covers, labels, expected count, reported sigma values, provenance)
+_TOTAL_TABLE = {
+    "B4": ([(0, 1), (0, 2), (1, 3), (2, 3)], "0ab1", 14, (),
+           "diamond: bottom, two incomparable atoms, top"),
+    "H3": ([(0, 2), (1, 2)], "ab1", 7, (), "two incomparable atoms with a top"),
+    "H5": ([(0, 1), (1, 2), (2, 4), (3, 4)], "abcd1", 25, ("25",),
+           "chain a<b<c plus d incomparable to it, all joins with d equal 1"),
+    "K3": ([(0, 3), (1, 3), (2, 3)], "abc1", 12, ("24",), "three-element antichain plus top"),
+    # H3 with B4 glued above it: the top y of H3 is the bottom of B4
+    "H3_B4": ([(0, 2), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)], "cdyabx", 49, ("24.5",),
+              "glued sum of the two-atom top and the diamond"),
+}
 
 # (names, edges, named joins, expected count, reported sigma values, tolerance)
 _CASE_TABLE = {
@@ -167,32 +180,16 @@ _CASE_TABLE = {
 }
 
 _FIGURE_TARGETS = {
-    # target: (n, total, base id, base total, meets part)
-    "K": (5, 23, "B4", 14, 7),
-    "N": (6, 39, "K", 23, 14),
-    "K0": (7, 61, "N", 39, 20),
+    # target: (n, total, base id, base total, meets part, reported sigma)
+    "K": (5, 23, "B4", 14, 7, "23"),
+    "N": (6, 39, "K", 23, 14, "19.5"),
+    "K0": (7, 61, "N", 39, 20, "15.25"),
 }
-
-_FIGURE_SIGMA = {"K": ("23", "0"), "N": ("19.5", "0"), "K0": ("15.25", "0")}
 
 
 def catalog_ids():
-    ids = ["C1", "C2", "C3", "C4", "C5", "B4", "H3", "H5", "K3", "H3_B4",
-           "K", "N", "K0"]
-    ids += [f"U{i}" for i in range(1, 8)]
-    ids += ["H"]
-    ids += [f"U{i}" for i in range(10, 20)]
-    return ids
-
-
-def _total(id_, covers_, n, labels, expected_count, reported, provenance):
-    sl = to_semilattice(Poset.from_covers(n, covers_))
-    return NamedStructure(
-        id=id_, structure=sl, labels=tuple(labels),
-        expected_sigma5=sigma_value(expected_count, n),
-        reported_sigma5=tuple(Fraction(v) for v in reported),
-        tolerance=Fraction(0), provenance=provenance,
-    )
+    """Every catalog id in listing order: the chains C1-C5, then each table's rows."""
+    return [f"C{k}" for k in range(1, 6)] + [*_TOTAL_TABLE, *_FIGURE_TARGETS, *_CASE_TABLE]
 
 
 @lru_cache(maxsize=None)
@@ -207,28 +204,15 @@ def build_named(id_):
         return NamedStructure(
             id=id_, structure=sl, labels=tuple(str(i) for i in range(k)),
             expected_sigma5=Fraction(32), reported_sigma5=(),
-            tolerance=Fraction(0),
             provenance="finite chain; 2^m subuniverses, relative count 32",
         )
-    if id_ == "B4":
-        return _total("B4", [(0, 1), (0, 2), (1, 3), (2, 3)], 4, "0ab1", 14, (),
-                      "diamond: bottom, two incomparable atoms, top")
-    if id_ == "H3":
-        return _total("H3", [(0, 2), (1, 2)], 3, "ab1", 7, (),
-                      "two incomparable atoms with a top")
-    if id_ == "H5":
-        return _total("H5", [(0, 1), (1, 2), (2, 4), (3, 4)], 5, "abcd1", 25, ("25",),
-                      "chain a<b<c plus d incomparable to it, all joins with d equal 1")
-    if id_ == "K3":
-        return _total("K3", [(0, 3), (1, 3), (2, 3)], 4, "abc1", 12, ("24",),
-                      "three-element antichain plus top")
-    if id_ == "H3_B4":
-        sl = glued_sum(build_named("H3").structure, build_named("B4").structure)
+    if id_ in _TOTAL_TABLE:
+        covers, labels, count, reported, provenance = _TOTAL_TABLE[id_]
         return NamedStructure(
-            id="H3_B4", structure=sl, labels=("c", "d", "y", "a", "b", "x"),
-            expected_sigma5=Fraction(49, 2), reported_sigma5=(Fraction("24.5"),),
-            tolerance=Fraction(0),
-            provenance="glued sum of the two-atom top and the diamond",
+            id=id_, structure=to_semilattice(Poset.from_covers(len(labels), covers)),
+            labels=tuple(labels), expected_sigma5=sigma_value(count, len(labels)),
+            reported_sigma5=tuple(Fraction(v) for v in reported),
+            provenance=provenance,
         )
     if id_ in _CASE_TABLE:
         names, edges, joins, count, reported, tol = _CASE_TABLE[id_]
@@ -245,15 +229,14 @@ def build_named(id_):
             tolerance=Fraction(tol), provenance=prov,
         )
     if id_ in _FIGURE_TARGETS:
+        n, total, _, _, _, reported = _FIGURE_TARGETS[id_]
         matches = reconstruct_figure_structures()[id_]
-        val, tol = _FIGURE_SIGMA[id_]
         note = "unique up to isomorphism" if len(matches) == 1 else (
             f"{len(matches)} non-isomorphic matches; smallest canonical code kept")
         return NamedStructure(
             id=id_, structure=matches[0].structure,
             labels=tuple(str(i) for i in range(matches[0].structure.n)),
-            expected_sigma5=Fraction(val), reported_sigma5=(Fraction(val),),
-            tolerance=Fraction(tol),
+            expected_sigma5=sigma_value(total, n), reported_sigma5=(Fraction(reported),),
             provenance=f"reconstructed by decomposition search; {note}",
         )
     raise UnknownStructureError(id_)
@@ -286,7 +269,7 @@ def reconstruct_figure_structures():
     from subsemi.enumeration import enumerate_semilattices
     results = {}
     base_codes = {"B4": {canonical_form(build_named("B4").structure).code}}
-    for target, (n, total, base, base_total, meets) in _FIGURE_TARGETS.items():
+    for target, (n, total, base, base_total, meets, _) in _FIGURE_TARGETS.items():
         run = enumerate_semilattices(n)
         matches = []
         codes = set()

@@ -80,8 +80,12 @@ def _check_settings(args):
             f"enumeration ceiling is {args.ceiling}; raise it explicitly for n={args.n}")
 
 
-def _dump(data):
-    return json.dumps(data, indent=2, sort_keys=True)
+def _write_json(data, out=None):
+    """Write data as indented JSON and a newline to out, stdout by default,
+    as the encoder yields it: a report is never held whole as one string."""
+    out = sys.stdout if out is None else out
+    json.dump(data, out, indent=2, sort_keys=True)
+    out.write("\n")
 
 
 def _resolve_input(args):
@@ -99,7 +103,7 @@ def _resolve_input(args):
 def cmd_count(args):
     from subsemi.jsonio import count_report_to_dict
     structure, _ = _resolve_input(args)
-    print(_dump(count_report_to_dict(count_subuniverses_checked(structure, args.k))))
+    _write_json(count_report_to_dict(count_subuniverses_checked(structure, args.k)))
     return 0
 
 
@@ -108,7 +112,7 @@ def cmd_sigma(args):
     structure, _ = _resolve_input(args)
     report = count_subuniverses_checked(structure, args.k)
     if args.json:
-        print(_dump(count_report_to_dict(report)))
+        _write_json(count_report_to_dict(report))
     else:
         print(report.sigma)
     return 0
@@ -128,7 +132,7 @@ def cmd_catalog(args):
             "provenance": ns.provenance,
         })
     if args.json:
-        print(_dump(rows))
+        _write_json(rows)
     elif args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "n", "kind", "expected_sigma5",
@@ -180,10 +184,12 @@ def cmd_enumerate(args):
                 fname = f"semilattice_{run.n}_{i:05d}.json"
                 payload = structure_to_dict(sl)
                 payload["canonical_code"] = code.hex()
-                (outdir / fname).write_text(_dump(payload) + "\n")
+                with open(outdir / fname, "w") as f:
+                    _write_json(payload, f)
                 manifest["files"].append(fname)
-            (outdir / "manifest.json").write_text(_dump(manifest) + "\n")
-    print(_dump(manifest))
+            with open(outdir / "manifest.json", "w") as f:
+                _write_json(manifest, f)
+    _write_json(manifest)
     return 0
 
 
@@ -191,7 +197,7 @@ def cmd_rank(args):
     from subsemi import verifier
     report = verifier.rank(args.n, workers=args.workers)
     if args.json:
-        print(_dump(verifier.ranking_to_dict(report)))
+        _write_json(verifier.ranking_to_dict(report))
     elif args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["rank", "count", "witnesses"])
@@ -221,7 +227,7 @@ def cmd_classify(args):
             "c0_len": c0_len,
             "c1_len": c1_len,
         }
-    print(_dump(result))
+    _write_json(result)
     return 0
 
 
@@ -230,7 +236,7 @@ def cmd_verify_theorem(args):
     from subsemi.order import poset_from_code
     result = verifier.verify_theorem(args.n, workers=args.workers)
     if args.json:
-        print(_dump(verifier.theorem_to_dict(result)))
+        _write_json(verifier.theorem_to_dict(result))
     else:
         for c, e, m in result.top3:
             print(f"top3 context: count={c} expected={e} {'ok' if m else 'DIFFERS'}")
@@ -249,7 +255,7 @@ def cmd_verify_lemmas(args):
     from subsemi import verifier
     report = verifier.verify_lemmas()
     if args.json:
-        print(_dump(verifier.lemmas_to_dict(report)))
+        _write_json(verifier.lemmas_to_dict(report))
     else:
         for e in report.entries:
             reported = ", ".join(str(v) for v in e.reported_values)

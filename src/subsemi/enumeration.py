@@ -152,7 +152,9 @@ def _count_children(parent_up, children):
     The brute-force count reuses the parent's closed table: the new element
     e's joins are e v x = k for each x outside u, where up(k) = u & up(x).
     The split counter runs on the child's own JoinSemilattice, whose pivot
-    0 is the top, as on the canonical labels.
+    0 is the top, as on the canonical labels. It reads e's joins from the
+    child's up-sets itself, so a join read wrong for one counter is not
+    read the same way by the other.
     """
     pn = len(parent_up)
     parent = to_semilattice(Poset(parent_up))
@@ -168,11 +170,10 @@ def _count_children(parent_up, children):
             rest &= rest - 1
             new.append((x, element_of[u & parent_up[x]]))
         brute = kernel.count_closed_below(pn, closed, new)
-        child = JoinSemilattice(
-            parent_up + (u | 1 << pn,),
-            tuple(sorted(parent.nontrivial_joins + tuple((x, pn, k) for x, k in new))),
-            parent.top)
-        check_split_agrees(child, brute)
+        up = parent_up + (u | 1 << pn,)
+        joins = parent.nontrivial_joins + tuple(
+            (x, pn, element_of[up[x] & up[pn]]) for x in range(pn) if not u >> x & 1)
+        check_split_agrees(JoinSemilattice(up, tuple(sorted(joins)), parent.top), brute)
         counts[code] = brute
     return counts
 

@@ -65,6 +65,7 @@ def test_glued_sum_examples(broom):
     assert g.n == 5
     assert sigma(g) == 24
     h3b4 = glued_sum(build_named("H3").structure, build_named("B4").structure)
+    assert h3b4 == build_named("H3_B4").structure   # the catalog lists its covers
     assert h3b4.n == 6
     assert sigma(h3b4) == Fraction(49, 2)
     assert are_isomorphic(glued_sum(k3, chain(1)), k3)

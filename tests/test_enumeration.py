@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import are_isomorphic, bruteforce_semilattices, relabel
 
-from subsemi import enumeration, order
+from subsemi import counting, enumeration, kernel, order
 from subsemi.catalog import build_named, chain
 from subsemi.enumeration import (
     _twin_representatives,
@@ -117,20 +117,34 @@ def test_twin_representatives_lose_no_child(enumerated):
     assert dropped > 0
 
 
+def _generation_work(monkeypatch, n):
+    """(canonical forms, stats, split counts, split-counter _count nodes) of
+    a serial counted run at n; each is deterministic."""
+    calls = dict.fromkeys(["canonical_form", "count_subuniverses_split", "_count"], 0)
+    for module, name in ((enumeration, "canonical_form"),
+                         (counting, "count_subuniverses_split"), (counting, "_count")):
+        def counted(*args, name=name, real=getattr(module, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    run = enumerate_semilattices(n, counted=True)
+    return (calls["canonical_form"], run.stats, calls["count_subuniverses_split"],
+            calls["_count"])
+
+
 def test_canonical_form_calls_in_generation(monkeypatch):
     # the twin and key tests leave 1,490 canonical forms at n = 8, of 2,861
-    # candidates; without the twin test there were 2,040
-    calls = []
-    real = enumeration.canonical_form
+    # candidates; without the twin test there were 2,040. The split counter
+    # runs once per parent of each structure, and its _count nodes pin the
+    # order of its clauses
+    assert _generation_work(monkeypatch, 8) == (
+        1490, {"candidates": 2861, "duplicates": 1783}, 1098, 22766)
 
-    def counted(p):
-        calls.append(p.n)
-        return real(p)
 
-    monkeypatch.setattr(enumeration, "canonical_form", counted)
-    run = enumerate_semilattices(8)
-    assert len(calls) == 1490
-    assert run.stats == {"candidates": 2861, "duplicates": 1783}
+@pytest.mark.slow
+def test_generation_work_n10(monkeypatch):
+    assert _generation_work(monkeypatch, 10) == (
+        47942, {"candidates": 109311, "duplicates": 71689}, 38172, 1689330)
 
 
 def test_search_runs_for_few_canonical_forms(monkeypatch):
@@ -263,3 +277,18 @@ def test_counted_run_limit():
         enumerate_semilattices(limit + 1, counted=True)
     assert enumerate_semilattices(3, counted=True).counts == (7, 8)
     assert enumerate_semilattices(3).counts is None
+
+
+def test_split_counter_derives_its_own_joins(monkeypatch):
+    # a join wrong in the list the kernel reads must not reach the split
+    # counter, or both counters would agree on the wrong count
+    real = kernel.count_closed_below
+
+    def wrong_last_join(n, closed, joins):
+        if joins:
+            joins[-1] = (joins[-1][0], 0)   # the top, label 0
+        return real(n, closed, joins)
+
+    monkeypatch.setattr(kernel, "count_closed_below", wrong_last_join)
+    with pytest.raises(AssertionError, match="counting algorithms disagree"):
+        enumerate_semilattices(6, counted=True)
