@@ -101,17 +101,12 @@ def _resolve_input(args):
 
 
 def cmd_count(args):
-    from subsemi.jsonio import count_report_to_dict
-    structure, _ = _resolve_input(args)
-    _write_json(count_report_to_dict(count_subuniverses_checked(structure, args.k)))
-    return 0
-
-
-def cmd_sigma(args):
+    """`count` and `sigma`: the checked count, printed as JSON, except that
+    `sigma` prints the bare relative count unless --json is given."""
     from subsemi.jsonio import count_report_to_dict
     structure, _ = _resolve_input(args)
     report = count_subuniverses_checked(structure, args.k)
-    if args.json:
+    if args.json or args.command == "count":
         _write_json(count_report_to_dict(report))
     else:
         print(report.sigma)
@@ -309,7 +304,7 @@ def build_parser():
 
     p = add("count", cmd_count, help="count subuniverses")
     structure_args(p)
-    p = add("sigma", cmd_sigma, help="relative number of subuniverses, exact")
+    p = add("sigma", cmd_count, help="relative number of subuniverses, exact")
     structure_args(p)
 
     p = add("catalog", cmd_catalog, help="list named structures")

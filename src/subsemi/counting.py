@@ -160,33 +160,36 @@ def _count(n, clauses, in_mask, out_mask):
             + _count(n, clauses, in_mask | bit, out_mask))
 
 
+def _pivot_split(n, clauses, pivot):
+    """(closed subsets avoiding the pivot, closed subsets containing it)."""
+    if not 0 <= pivot < n:
+        raise ValueError(f"pivot {pivot} out of range")
+    return _count(n, clauses, 0, 1 << pivot), _count(n, clauses, 1 << pivot, 0)
+
+
 def count_subuniverses_split(a, pivot, k=DEFAULT_K):
     """Exact count as (subsets avoiding the pivot) + (subsets containing it).
 
     Recursive case split with unit propagation; independent of the
     brute-force scan.
     """
-    if not 0 <= pivot < a.n:
-        raise ValueError(f"pivot {pivot} out of range")
-    clauses = a.closure_constraints()
-    avoiding = _count(a.n, clauses, 0, 1 << pivot)
-    containing = _count(a.n, clauses, 1 << pivot, 0)
-    count = avoiding + containing
+    count = sum(_pivot_split(a.n, a.closure_constraints(), pivot))
     return SubuniverseReport(count=count, k=k, n=a.n)
 
 
-def check_split_agrees(a, brute):
-    """Raise AssertionError unless the split counter, pivot 0, counts brute
-    subuniverses of a; brute is the count the other algorithm found."""
-    split = count_subuniverses_split(a, 0).count
+def check_split_agrees(n, clauses, brute, structure):
+    """Raise AssertionError unless the split counter, pivot 0, finds brute
+    subsets of {0..n-1} closed under clauses; brute is the count the other
+    algorithm found, and structure names what was counted in the message."""
+    split = sum(_pivot_split(n, clauses, 0))
     if split != brute:
-        raise AssertionError(f"counting algorithms disagree: {brute} != {split} on {a!r}")
+        raise AssertionError(f"counting algorithms disagree: {brute} != {split} on {structure}")
 
 
 def count_subuniverses_checked(a, k=DEFAULT_K):
     """The brute-force count, raising AssertionError unless the split count agrees."""
     report = count_subuniverses_bruteforce(a, k)
-    check_split_agrees(a, report.count)
+    check_split_agrees(a.n, a.closure_constraints(), report.count, a)
     return report
 
 
@@ -196,12 +199,11 @@ def split_parts(a, pivot):
     with the pivot not in S; with it in S and S disjoint from rest; with it
     in S and S meeting rest, where rest is every element of the semilattice
     a except the pivot and the top."""
-    rest_mask = ((1 << a.n) - 1) & ~(1 << pivot) & ~(1 << a.top)
     clauses = a.closure_constraints()
-    avoiding = _count(a.n, clauses, 0, 1 << pivot)
+    avoiding, containing = _pivot_split(a.n, clauses, pivot)
+    rest_mask = ((1 << a.n) - 1) & ~(1 << pivot) & ~(1 << a.top)
     disjoint = _count(a.n, clauses, 1 << pivot, rest_mask)
-    total = avoiding + _count(a.n, clauses, 1 << pivot, 0)
-    return avoiding, disjoint, total - avoiding - disjoint
+    return avoiding, disjoint, containing - disjoint
 
 
 # -- trace bound --------------------------------------------------------
@@ -249,6 +251,8 @@ def sigma_trace_bound(L, subset, k=DEFAULT_K):
     costs at most |H| * t incremental closures, recurses at most |H| deep,
     and has no limit on n.
     """
+    if subset < 0 or subset >> L.n:
+        raise ValueError(f"subset {subset:#b} out of range")
     joins = [[] for _ in range(L.n)]          # joins[x]: (bit of y, r) for each x v y = r
     for pair, result in L.closure_constraints():
         i, j = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
@@ -256,4 +260,4 @@ def sigma_trace_bound(L, subset, k=DEFAULT_K):
         joins[i].append((1 << j, r))
         joins[j].append((1 << i, r))
     members = [e for e in range(L.n) if subset >> e & 1]
-    return sigma_value(_count_traces(joins, members, 0, 0, 0), subset.bit_count(), k)
+    return sigma_value(_count_traces(joins, members, 0, 0, 0), len(members), k)

@@ -28,7 +28,8 @@ in the worker that generates it. The closed sets of a child are those of
 its parent, plus each closed set T of the parent with the new element e
 added, when T holds e v x for every x in T. So the parent's closed table,
 built once, and one AND per new join give the brute-force count, and the
-split counter runs on the child as it stands.
+split counter reads the child's clause list: the parent's, plus one clause
+per new join.
 """
 
 from contextlib import nullcontext
@@ -38,13 +39,7 @@ from functools import cached_property, partial
 from subsemi import kernel
 from subsemi.counting import check_split_agrees, count_subuniverses_checked
 from subsemi.errors import SizeLimitError
-from subsemi.order import (
-    JoinSemilattice,
-    Poset,
-    canonical_form,
-    poset_from_code,
-    to_semilattice,
-)
+from subsemi.order import Poset, canonical_form, poset_from_code, to_semilattice
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ class EnumerationRun:
 
     @cached_property
     def structures(self):
-        """The JoinSemilattice each code encodes, in code order, built on first use."""
+        """The semilattice each code encodes, in code order, built on first use."""
         return tuple(to_semilattice(poset_from_code(code)) for code in self.codes)
 
 
@@ -113,7 +108,7 @@ def random_semilattice(rng, n):
     return to_semilattice(Poset(up))
 
 
-def _twin_representatives(parent_up, extensions):
+def _twin_representatives(parent, extensions):
     """The extensions that hold, in every twin class of the parent, its
     lowest-indexed members.
 
@@ -122,11 +117,10 @@ def _twin_representatives(parent_up, extensions):
     an isomorphic child's; each orbit of the twin swaps holds exactly one
     of the extensions kept.
     """
-    down = Poset(parent_up).down
     pairs = []   # (earlier twin, next twin) bits, consecutive in index order
     last_of = {}
-    for i in range(len(parent_up)):
-        key = (parent_up[i] & ~(1 << i), down[i] & ~(1 << i))
+    for i in range(parent.n):
+        key = (parent.up[i] & ~(1 << i), parent.down[i] & ~(1 << i))
         if key in last_of:
             pairs.append((1 << last_of[key], 1 << i))
         last_of[key] = i
@@ -145,42 +139,39 @@ def _minimal_key(strict_up, sizes):
     return (len(above) + 1, tuple(above))
 
 
-def _count_children(parent_up, children):
+def _count_children(parent, children):
     """{code: |Sub|} for the children of a parent, given as {code: u}, by
     both counting algorithms; raises AssertionError when they disagree.
 
     The brute-force count reuses the parent's closed table: the new element
     e's joins are e v x = k for each x outside u, where up(k) = u & up(x).
-    The split counter runs on the child's own JoinSemilattice, whose pivot
-    0 is the top, as on the canonical labels. It reads e's joins from the
-    child's up-sets itself, so a join read wrong for one counter is not
-    read the same way by the other.
+    The split counter reads the child's clause list: the parent's clauses,
+    then one per x outside u, with pivot 0, the top, as on the canonical
+    labels. It reads e's joins from the child's up-sets itself, so a join
+    read wrong for one counter is not read the same way by the other.
     """
-    pn = len(parent_up)
-    parent = to_semilattice(Poset(parent_up))
-    closed = kernel.closed_table(pn, parent.closure_constraints())
+    pn = parent.n
+    parent_up = parent.up
+    clauses = to_semilattice(parent).closure_constraints()
+    closed = kernel.closed_table(pn, clauses)
     element_of = {up: k for k, up in enumerate(parent_up)}
-    full = (1 << pn) - 1
     counts = {}
     for code, u in children.items():
-        new = []
-        rest = full & ~u
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            new.append((x, element_of[u & parent_up[x]]))
-        brute = kernel.count_closed_below(pn, closed, new)
-        up = parent_up + (u | 1 << pn,)
-        joins = parent.nontrivial_joins + tuple(
-            (x, pn, element_of[up[x] & up[pn]]) for x in range(pn) if not u >> x & 1)
-        check_split_agrees(JoinSemilattice(up, tuple(sorted(joins)), parent.top), brute)
+        outside = [x for x in range(pn) if not u >> x & 1]
+        brute = kernel.count_closed_below(
+            pn, closed, [(x, element_of[u & parent_up[x]]) for x in outside])
+        new_up = u | 1 << pn
+        check_split_agrees(pn + 1, clauses + [
+            (1 << x | 1 << pn, 1 << element_of[parent_up[x] & new_up]) for x in outside],
+            brute, f"structure {code.hex()}")
         counts[code] = brute
     return counts
 
 
-def _expand_parent(parent_up, counted=False):
+def _expand_parent(code, counted=False):
     """(number of children, {canonical code: |Sub| when counted, else None}
-    for the children that pass the twin and key tests).
+    for the children that pass the twin and key tests) of the parent whose
+    canonical code is given.
 
     A child is canonicalised only when its new element's key is at least the
     key of every other minimal element of the child. The new element lies
@@ -188,36 +179,36 @@ def _expand_parent(parent_up, counted=False):
     them the keys, are the parent's; the child's other minimal elements are
     the parent's minimal elements outside u.
     """
-    pn = len(parent_up)
+    parent = poset_from_code(code)
+    parent_up = parent.up
+    pn = parent.n
     sizes = [up.bit_count() for up in parent_up]
-    covered = 0   # elements strictly above some element
-    for i, up in enumerate(parent_up):
-        covered |= up & ~(1 << i)
     minimal_keys = [(1 << i, _minimal_key(parent_up[i] & ~(1 << i), sizes))
-                    for i in range(pn) if not covered >> i & 1]
+                    for i in parent.minimal_elements()]
     extensions = _upclosed_extensions(parent_up)
     children = {}
-    for u in _twin_representatives(parent_up, extensions):
+    for u in _twin_representatives(parent, extensions):
         key = _minimal_key(u, sizes)
         if all(key >= other for bit, other in minimal_keys if not u & bit):
             # siblings often share a code; each is kept, and counted, once
             children.setdefault(canonical_form(Poset(parent_up + (u | (1 << pn),))).code, u)
     if counted:
-        return len(extensions), _count_children(parent_up, children)
+        return len(extensions), _count_children(parent, children)
     return len(extensions), dict.fromkeys(children)
 
 
 def enumerate_semilattices(n, workers=1, counted=False):
     """All n-element join-semilattices up to isomorphism, deterministically ordered.
 
-    Each level is kept as the set of its canonical codes; the next level's
-    parents are decoded from them in sorted order. The run holds level n's
-    sorted codes, and its structures are built from them on first use.
-    Nothing is kept between calls. With more than one worker, every level
-    runs in one pool of that many processes, opened for the run. When
-    counted, the worker that generates a structure of level n also counts
-    its subuniverses, by both algorithms, and the run's counts line up with
-    its codes; the parent's closed table must fit one kernel block.
+    Each level is kept as the set of its canonical codes, handed out in
+    sorted order as the next level's parents; each worker call decodes its
+    own parent. The run holds level n's sorted codes, and its structures
+    are built from them on first use. Nothing is kept between calls. With
+    more than one worker, every level runs in one pool of that many
+    processes, opened for the run. When counted, the worker that generates
+    a structure of level n also counts its subuniverses, by both
+    algorithms, and the run's counts line up with its codes; the parent's
+    closed table must fit one kernel block.
     """
     if n < 1:
         raise SizeLimitError("n must be at least 1")
@@ -232,14 +223,13 @@ def enumerate_semilattices(n, workers=1, counted=False):
     candidates = 1
     with process_pool(workers) as pool:
         for size in range(2, n + 1):
-            expand = partial(_expand_parent, counted=True) if counted and size == n \
-                else _expand_parent
-            parent_ups = [poset_from_code(code).up for code in sorted(level)]
+            batches = pool_map(pool, partial(_expand_parent, counted=counted and size == n),
+                               sorted(level))
             level = {}
             candidates = 0
             # batches are consumed as they arrive: holding a whole level's
             # batches at once raises the peak memory of a run
-            for extensions, children in pool_map(pool, expand, parent_ups):
+            for extensions, children in batches:
                 candidates += extensions
                 for code, count in children.items():
                     if level.setdefault(code, count) != count:

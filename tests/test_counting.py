@@ -238,6 +238,19 @@ def test_trace_bound_edges():
     assert sigma_trace_bound(h5, mask(0, 1, 2, 3)) >= sigma(h5)
 
 
+@pytest.mark.parametrize("fn, arg", [(sigma_trace_bound, -1),
+                                     (sigma_trace_bound, 0b1111 | 1 << 10),
+                                     (sigma_trace_bound, 1 << 4),
+                                     (split_parts, -1), (split_parts, 4)])
+def test_bits_outside_the_structure_raise(fn, arg):
+    # K3 has four elements and sigma_5 = 24; a bit at 4 or above, or a
+    # negative mask, names no element. The trace bound once counted such a
+    # bit in |H|, and 0b1111 | 1 << 10 gave 12, below sigma
+    k3 = build_named("K3").structure
+    with pytest.raises(ValueError, match="out of range"):
+        fn(k3, arg)
+
+
 def test_trace_bound_random(rng):
     from subsemi.enumeration import random_semilattice
     for _ in range(100):

@@ -108,9 +108,10 @@ def test_twin_representatives_lose_no_child(enumerated):
     dropped = 0
     for n in range(1, 7):
         for code in enumerated(n).codes:
-            up = poset_from_code(code).up
+            parent = poset_from_code(code)
+            up = parent.up
             extensions = _upclosed_extensions(up)
-            kept = _twin_representatives(up, extensions)
+            kept = _twin_representatives(parent, extensions)
             dropped += len(extensions) - len(kept)
             assert set(kept) <= set(extensions)
             assert _child_codes(up, kept) == _child_codes(up, extensions)
@@ -118,17 +119,17 @@ def test_twin_representatives_lose_no_child(enumerated):
 
 
 def _generation_work(monkeypatch, n):
-    """(canonical forms, stats, split counts, split-counter _count nodes) of
+    """(canonical forms, stats, split checks, split-counter _count nodes) of
     a serial counted run at n; each is deterministic."""
-    calls = dict.fromkeys(["canonical_form", "count_subuniverses_split", "_count"], 0)
+    calls = dict.fromkeys(["canonical_form", "check_split_agrees", "_count"], 0)
     for module, name in ((enumeration, "canonical_form"),
-                         (counting, "count_subuniverses_split"), (counting, "_count")):
+                         (enumeration, "check_split_agrees"), (counting, "_count")):
         def counted(*args, name=name, real=getattr(module, name)):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(module, name, counted)
     run = enumerate_semilattices(n, counted=True)
-    return (calls["canonical_form"], run.stats, calls["count_subuniverses_split"],
+    return (calls["canonical_form"], run.stats, calls["check_split_agrees"],
             calls["_count"])
 
 
@@ -136,15 +137,45 @@ def test_canonical_form_calls_in_generation(monkeypatch):
     # the twin and key tests leave 1,490 canonical forms at n = 8, of 2,861
     # candidates; without the twin test there were 2,040. The split counter
     # runs once per parent of each structure, and its _count nodes pin the
-    # order of its clauses
+    # order of its clauses: the parent's, then the new element's
     assert _generation_work(monkeypatch, 8) == (
-        1490, {"candidates": 2861, "duplicates": 1783}, 1098, 22766)
+        1490, {"candidates": 2861, "duplicates": 1783}, 1098, 22872)
 
 
 @pytest.mark.slow
 def test_generation_work_n10(monkeypatch):
     assert _generation_work(monkeypatch, 10) == (
-        47942, {"candidates": 109311, "duplicates": 71689}, 38172, 1689330)
+        47942, {"candidates": 109311, "duplicates": 71689}, 38172, 1692062)
+
+
+@pytest.mark.parametrize("n, work", [(8, (2861, 2259, 1171, 93)),
+                                     (9, (16747, 13535, 6440, 446))])
+def test_twin_and_key_tests_keep(monkeypatch, enumerated, n, work):
+    # the last level's candidates, the extensions the twin test keeps, the
+    # children the key test lets reach canonical_form, and the duplicates
+    # among those
+    kept, canonicalised = [], []
+    real_twins, real_form = enumeration._twin_representatives, enumeration.canonical_form
+
+    def twins(parent, extensions):
+        out = real_twins(parent, extensions)
+        kept.append(len(out))
+        return out
+
+    def form(p):
+        canonicalised.append(p.n)
+        return real_form(p)
+
+    monkeypatch.setattr(enumeration, "_twin_representatives", twins)
+    monkeypatch.setattr(enumeration, "canonical_form", form)
+    candidates, level = 0, set()
+    for code in enumerated(n - 1).codes:
+        extensions, children = enumeration._expand_parent(code)
+        candidates += extensions
+        level |= children.keys()
+    assert len(level) == KNOWN_COUNTS[n]
+    assert (candidates, sum(kept), len(canonicalised),
+            len(canonicalised) - len(level)) == work
 
 
 def test_search_runs_for_few_canonical_forms(monkeypatch):

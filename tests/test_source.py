@@ -175,7 +175,8 @@ def _counting_functions_naming(functions, names):
 
 def test_split_counter_does_not_use_the_kernel():
     # the case-split counter is the independent check on the kernel's count
-    split = {"_propagate", "_count", "count_subuniverses_split", "split_parts"}
+    split = {"_propagate", "_count", "_pivot_split", "count_subuniverses_split",
+             "split_parts", "check_split_agrees"}
     assert _counting_functions_naming(split, {"kernel"}) == (split, [])
 
 

@@ -3,7 +3,6 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -175,12 +174,13 @@ def test_cross_check_guards_pooled_counts(monkeypatch, workers):
     # the split counter is patched where the cross-check calls it, before
     # rank opens its pool, so forked workers count with the wrong split
     # counter too, and their error reaches rank
-    real = counting.count_subuniverses_split
+    real = counting._pivot_split
 
-    def off_by_one(a, pivot, k=counting.DEFAULT_K):
-        return SimpleNamespace(count=real(a, pivot, k).count + 1)
+    def off_by_one(n, clauses, pivot):
+        avoiding, containing = real(n, clauses, pivot)
+        return avoiding + 1, containing
 
-    monkeypatch.setattr(counting, "count_subuniverses_split", off_by_one)
+    monkeypatch.setattr(counting, "_pivot_split", off_by_one)
     with pytest.raises(AssertionError, match="counting algorithms disagree"):
         verifier.rank(6, workers=workers)
 
@@ -188,11 +188,12 @@ def test_cross_check_guards_pooled_counts(monkeypatch, workers):
 def test_cross_check_guards_counts_under_O(run_optimized):
     # python -O strips assert statements, not the raise of the cross-check
     proc = run_optimized(
-        "from types import SimpleNamespace\n"
         "from subsemi import counting, verifier\n"
-        "real = counting.count_subuniverses_split\n"
-        "counting.count_subuniverses_split = lambda a, pivot: "
-        "SimpleNamespace(count=real(a, pivot).count + 1)\n"
+        "real = counting._pivot_split\n"
+        "def off_by_one(n, clauses, pivot):\n"
+        "    avoiding, containing = real(n, clauses, pivot)\n"
+        "    return avoiding + 1, containing\n"
+        "counting._pivot_split = off_by_one\n"
         "try:\n"
         "    verifier.rank(6)\n"
         "except AssertionError as exc:\n"
@@ -206,9 +207,9 @@ def test_parents_disagreeing_on_a_count_raise(monkeypatch):
     real = enumeration._count_children
     offsets = iter(range(10 ** 6))
 
-    def shifted(parent_up, children):
+    def shifted(parent, children):
         offset = next(offsets)
-        return {code: count + offset for code, count in real(parent_up, children).items()}
+        return {code: count + offset for code, count in real(parent, children).items()}
 
     monkeypatch.setattr(enumeration, "_count_children", shifted)
     with pytest.raises(AssertionError, match="differently"):
@@ -216,27 +217,32 @@ def test_parents_disagreeing_on_a_count_raise(monkeypatch):
 
 
 def test_pooled_rank_builds_no_structure_here(monkeypatch):
-    # with workers, level n is generated and counted in the pool; the family
-    # members are built before the patch, so any call recorded in this
-    # process would build a structure of the run
+    # with workers, every level is generated, and level n counted, in the
+    # pool; the family members are built before the patch, so any call
+    # recorded in this process would decode a parent or build a structure
+    # of the run
     for core in analysis.FAMILY_CORES:
         analysis.family_codes(core, 7)
-    real = order.to_semilattice
-    built = []
+    built, decoded = [], []
+    for name, calls in (("to_semilattice", built), ("poset_from_code", decoded)):
+        real = getattr(order, name)
 
-    def recorded(p):
-        built.append(p.n)
-        return real(p)
+        def recorded(arg, real=real, calls=calls):
+            result = real(arg)
+            calls.append(result.n)
+            return result
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "subsemi" and getattr(module, "to_semilattice", None) is real:
-            monkeypatch.setattr(module, "to_semilattice", recorded)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "subsemi" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recorded)
     pooled = verifier.rank(7, workers=2)
-    assert built == []
-    # the serial run builds each of the 53 parents once, for its closed
-    # table, and no structure of level 7
+    assert (built, decoded) == ([], [])
+    # the serial run decodes each parent of levels 2..7 once, and builds
+    # each of the 53 parents of level 7 once, for its closed table, and no
+    # structure of level 7
     serial = verifier.rank(7, workers=1)
     assert built == [6] * 53
+    assert decoded == [n - 1 for n in range(2, 8) for _ in range(A006966[n])]
     assert pooled == serial
 
 
