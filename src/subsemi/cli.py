@@ -352,10 +352,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _check_settings(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except SubsemiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point stdout at devnull, so the
+        # interpreter's last flush of what is still buffered cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

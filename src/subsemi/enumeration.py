@@ -29,7 +29,7 @@ its parent, plus each closed set T of the parent with the new element e
 added, when T holds e v x for every x in T. So the parent's closed table,
 built once, and one AND per new join give the brute-force count, and the
 split counter reads the child's clause list: the parent's, plus one clause
-per new join.
+per new join, on labels that put the elements in the most clauses first.
 """
 
 from contextlib import nullcontext
@@ -139,30 +139,51 @@ def _minimal_key(strict_up, sizes):
     return (len(above) + 1, tuple(above))
 
 
+def _occurrence_labels(n, joins):
+    """The split counter's label of each of n elements: the elements ordered
+    by how many of the joins (i, j, k) they occur in, most first, ties by
+    index."""
+    occurs = [0] * n
+    for join in joins:
+        for x in join:
+            occurs[x] += 1
+    labels = [0] * n
+    for label, x in enumerate(sorted(range(n), key=lambda x: -occurs[x])):
+        labels[x] = label
+    return labels
+
+
 def _count_children(parent, children):
     """{code: |Sub|} for the children of a parent, given as {code: u}, by
     both counting algorithms; raises AssertionError when they disagree.
 
     The brute-force count reuses the parent's closed table: the new element
     e's joins are e v x = k for each x outside u, where up(k) = u & up(x).
-    The split counter reads the child's clause list: the parent's clauses,
-    then one per x outside u, with pivot 0, the top, as on the canonical
-    labels. It reads e's joins from the child's up-sets itself, so a join
-    read wrong for one counter is not read the same way by the other.
+    The split counter reads the child's clause list, on labels of its own:
+    the parent's elements ordered by how often they occur in the parent's
+    clauses, most first, and e last. The list is the parent's clauses, then
+    one per x outside u, so pivot 0 and the first branches fall on the
+    elements in the most clauses (the branching rule of DPLL-style model
+    counters). It reads e's joins from the child's up-sets itself, so a
+    join read wrong for one counter is not read the same way by the other.
     """
     pn = parent.n
     parent_up = parent.up
-    clauses = to_semilattice(parent).closure_constraints()
-    closed = kernel.closed_table(pn, clauses)
+    sl = to_semilattice(parent)
+    closed = kernel.closed_table(pn, sl.closure_constraints())
+    joins = sl.nontrivial_joins
+    bit = [1 << label for label in _occurrence_labels(pn, joins)]
+    clauses = [(bit[i] | bit[j], bit[k]) for i, j, k in joins]
+    new_bit = 1 << pn
     element_of = {up: k for k, up in enumerate(parent_up)}
     counts = {}
     for code, u in children.items():
         outside = [x for x in range(pn) if not u >> x & 1]
         brute = kernel.count_closed_below(
             pn, closed, [(x, element_of[u & parent_up[x]]) for x in outside])
-        new_up = u | 1 << pn
+        new_up = u | new_bit
         check_split_agrees(pn + 1, clauses + [
-            (1 << x | 1 << pn, 1 << element_of[parent_up[x] & new_up]) for x in outside],
+            (bit[x] | new_bit, bit[element_of[parent_up[x] & new_up]]) for x in outside],
             brute, f"structure {code.hex()}")
         counts[code] = brute
     return counts

@@ -91,11 +91,12 @@ def structure_from_dict(data):
 
 def load_structure(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bytes that are not UTF-8, or arrays nested past the recursion limit
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     return structure_from_dict(data)
 

@@ -79,6 +79,47 @@ def test_count_input_file(capsys, tmp_path):
     assert json.loads(out)["count"] == 25
 
 
+def _assert_not_json(capsys, path):
+    for command in ("count", "sigma", "classify"):
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+
+def test_input_not_utf8_exits_2(capsys, tmp_path):
+    f = tmp_path / "bytes.json"
+    f.write_bytes(b"\xff\xfe")
+    _assert_not_json(capsys, f)
+
+
+def test_input_nested_past_recursion_limit_exits_2(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000 + "]" * 100000)
+    _assert_not_json(capsys, f)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader takes one line and closes the pipe. The pipe holds 4 KiB,
+    # far less than the 34 kB report, so a later write meets the closed pipe
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe size cannot be set on this platform")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subsemi", "rank", "--n", "8", "--json", "--workers", "1"],
+        stdout=write, stderr=subprocess.PIPE, env=env)
+    os.close(write)
+    with os.fdopen(read, "rb") as out:
+        assert out.readline() == b"{\n"
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog", "--json")
     assert code == 0

@@ -136,16 +136,17 @@ def _generation_work(monkeypatch, n):
 def test_canonical_form_calls_in_generation(monkeypatch):
     # the twin and key tests leave 1,490 canonical forms at n = 8, of 2,861
     # candidates; without the twin test there were 2,040. The split counter
-    # runs once per parent of each structure, and its _count nodes pin the
-    # order of its clauses: the parent's, then the new element's
+    # runs once per parent of each structure, and its _count nodes pin its
+    # labels and the order of its clauses: the parent's, then the new
+    # element's, on labels ordered by how often each element occurs
     assert _generation_work(monkeypatch, 8) == (
-        1490, {"candidates": 2861, "duplicates": 1783}, 1098, 22872)
+        1490, {"candidates": 2861, "duplicates": 1783}, 1098, 15560)
 
 
 @pytest.mark.slow
 def test_generation_work_n10(monkeypatch):
     assert _generation_work(monkeypatch, 10) == (
-        47942, {"candidates": 109311, "duplicates": 71689}, 38172, 1692062)
+        47942, {"candidates": 109311, "duplicates": 71689}, 38172, 1131962)
 
 
 @pytest.mark.parametrize("n, work", [(8, (2861, 2259, 1171, 93)),
@@ -323,3 +324,26 @@ def test_split_counter_derives_its_own_joins(monkeypatch):
     monkeypatch.setattr(kernel, "count_closed_below", wrong_last_join)
     with pytest.raises(AssertionError, match="counting algorithms disagree"):
         enumerate_semilattices(6, counted=True)
+
+
+def test_occurrence_labels():
+    # with the joins 0 v 1 = 2 and 1 v 3 = 2, elements 1 and 2 occur twice
+    # and 0 and 3 once; ties go to the lower index
+    assert enumeration._occurrence_labels(4, [(0, 1, 2), (1, 3, 2)]) == [2, 0, 1, 3]
+    assert enumeration._occurrence_labels(3, []) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_labels_cannot_weaken_the_cross_check(monkeypatch, workers):
+    # labels that merge two elements give the split counter another clause
+    # system; the patch is made before the pool forks, so workers see it too
+    real = enumeration._occurrence_labels
+
+    def merged(n, joins):
+        labels = real(n, joins)
+        labels[labels.index(1)] = 0
+        return labels
+
+    monkeypatch.setattr(enumeration, "_occurrence_labels", merged)
+    with pytest.raises(AssertionError, match="counting algorithms disagree"):
+        enumerate_semilattices(6, workers=workers, counted=True)

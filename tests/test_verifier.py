@@ -275,3 +275,14 @@ def test_rank_n10_json_digest(capsys):
     assert cli.main(["rank", "--n", "10", "--json", "--ceiling", "10", "--workers", "2"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "8fd9a586eda7a6e5a987fe2fa629f1eaa7d2bcd643a1f0acfc607cf0260e0111"
+
+
+@pytest.mark.slow
+def test_rank_n11_json_digest(capsys):
+    # adding a bottom turns the 11-element join-semilattices into the
+    # 12-element lattices, and OEIS A006966 gives 262,776 of those
+    assert cli.main(["rank", "--n", "11", "--json", "--ceiling", "11", "--workers", "2"]) == 0
+    out = capsys.readouterr().out
+    assert sum(map(len, json.loads(out)["witnesses"].values())) == 262776
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6e5534f79c191289caf0dfbedba30079d4aadbb27a5c6fadd45cfbc4822a4144"
