@@ -119,8 +119,8 @@ def _twin_representatives(parent, extensions):
     """
     pairs = []   # (earlier twin, next twin) bits, consecutive in index order
     last_of = {}
-    for i in range(parent.n):
-        key = (parent.up[i] & ~(1 << i), parent.down[i] & ~(1 << i))
+    strict_up, _, strict_dn, _ = parent.tables
+    for i, key in enumerate(zip(strict_up, strict_dn)):
         if key in last_of:
             pairs.append((1 << last_of[key], 1 << i))
         last_of[key] = i
@@ -199,6 +199,11 @@ def _expand_parent(code, counted=False):
     below the parent's elements and above none, so their up-sets, and with
     them the keys, are the parent's; the child's other minimal elements are
     the parent's minimal elements outside u.
+
+    The parent's order is walked once, into its tables (Poset.tables),
+    which the twin test reads. Each child that reaches canonical_form is
+    built by Poset.with_minimal, which derives the child's tables from the
+    parent's in O(|u|), so canonical_form walks no child's order.
     """
     parent = poset_from_code(code)
     parent_up = parent.up
@@ -212,7 +217,7 @@ def _expand_parent(code, counted=False):
         key = _minimal_key(u, sizes)
         if all(key >= other for bit, other in minimal_keys if not u & bit):
             # siblings often share a code; each is kept, and counted, once
-            children.setdefault(canonical_form(Poset(parent_up + (u | (1 << pn),))).code, u)
+            children.setdefault(canonical_form(parent.with_minimal(u)).code, u)
     if counted:
         return len(extensions), _count_children(parent, children)
     return len(extensions), dict.fromkeys(children)

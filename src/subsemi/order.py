@@ -37,12 +37,15 @@ class Poset:
                 if merged != up[a]:
                     up[a] = merged
                     changed = True
-        p = cls(up)
-        for i in range(n):
-            for j in range(n):
-                if i != j and p.le(i, j) and p.le(j, i):
-                    raise PosetAxiomError("antisymmetry", (i, j))
-        return p
+        # two distinct elements below each other close a cycle of covers, and
+        # every cover (a, b) on it has a above b; only then are all pairs
+        # scanned, for the least witness (i, j)
+        if any(a != b and up[b] >> a & 1 for a, b in covers):
+            for i in range(n):
+                for j in range(n):
+                    if i != j and up[i] >> j & 1 and up[j] >> i & 1:
+                        raise PosetAxiomError("antisymmetry", (i, j))
+        return cls(up)
 
     # -- basic queries -------------------------------------------------
 
@@ -50,16 +53,76 @@ class Poset:
         return bool(self.up[i] >> j & 1)
 
     @cached_property
-    def down(self):
-        """down[i] = bitmask of {j : j <= i}."""
-        dn = [0] * self.n
-        for i in range(self.n):
-            m = self.up[i]
+    def tables(self):
+        """(strict_up, above, strict_dn, base), what canonical_form reads of
+        the order, from one walk over the strict up-sets. Each is indexed by
+        element: strict_up[i] and strict_dn[i] are the bitmasks of {j : i < j}
+        and {j : j < i}, above[i] lists the members of strict_up[i] in
+        ascending order, and base[i] packs (|up|, |down|, lower covers, upper
+        covers) one byte per field, first field highest, so for n <= 255 the
+        ints sort exactly like the tuples."""
+        n = self.n
+        strict_up = tuple(self.up[i] & ~(1 << i) for i in range(n))
+        above = []
+        strict_dn = [0] * n
+        cover_up = [0] * n
+        cover_dn = [0] * n
+        for i in range(n):
+            members = []
+            bit = 1 << i
+            reach = 0   # elements strictly above some strict upper bound of i
+            m = strict_up[i]
             while m:
                 j = (m & -m).bit_length() - 1
-                dn[j] |= 1 << i
                 m &= m - 1
-        return tuple(dn)
+                members.append(j)
+                strict_dn[j] |= bit
+                reach |= strict_up[j]
+            above.append(members)
+            covers = strict_up[i] & ~reach
+            cover_up[i] = covers.bit_count()
+            for j in members:
+                if covers >> j & 1:
+                    cover_dn[j] += 1
+        base = tuple((len(above[i]) + 1) << 24 | (strict_dn[i].bit_count() + 1) << 16
+                     | cover_dn[i] << 8 | cover_up[i] for i in range(n))
+        return strict_up, tuple(above), tuple(strict_dn), base
+
+    def with_minimal(self, u):
+        """This poset plus a new element n, minimal, whose strict up-set is
+        the up-closed u. The child's tables are copies of this poset's with
+        only the entries of u and of n changed: the new element lies above
+        nothing, so every old up-set and every old cover stays; it joins the
+        strict down-set of each j in u, and covers exactly the minimal
+        elements of u."""
+        n = self.n
+        bit = 1 << n
+        child = Poset(self.up + (u | bit,))
+        strict_up, above, strict_dn, base = self.tables
+        dn = list(strict_dn)
+        inv = list(base)
+        members = []
+        reach = 0
+        m = u
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            members.append(j)
+            reach |= strict_up[j]
+        lowest = u & ~reach
+        for j in members:
+            dn[j] |= bit
+            # |down| grows by one, and the lower covers when j is minimal in u
+            inv[j] += 1 << 16 | (lowest >> j & 1) << 8
+        inv.append((len(members) + 1) << 24 | 1 << 16 | lowest.bit_count())
+        child.__dict__["tables"] = (
+            strict_up + (u,), above + (members,), (*dn, 0), tuple(inv))
+        return child
+
+    @cached_property
+    def down(self):
+        """down[i] = bitmask of {j : j <= i}."""
+        return tuple(dn | 1 << i for i, dn in enumerate(self.tables[2]))
 
     @cached_property
     def covers(self):
@@ -77,7 +140,7 @@ class Poset:
         return tuple(sorted(out))
 
     def minimal_elements(self):
-        return [i for i in range(self.n) if self.down[i] == 1 << i]
+        return [i for i, dn in enumerate(self.tables[2]) if not dn]
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.up == other.up
@@ -180,21 +243,30 @@ class CanonicalForm:
 
 def _dense_ranks(vectors):
     """Each vector's index among the sorted distinct vectors, and their number."""
-    index = {v: r for r, v in enumerate(sorted(set(vectors)))}
-    return [index[v] for v in vectors], len(index)
+    distinct = sorted(set(vectors))
+    index = dict(zip(distinct, range(len(distinct))))
+    return list(map(index.__getitem__, vectors)), len(distinct)
 
 
 def _refined_invariants(p):
     """Per-element invariant ranks, each element's strict upper elements in
     ascending order, and the twin keys when the labelling needs a search.
 
-    A rank is the index of the element's invariant vector among the sorted
-    distinct vectors, so the ranks order and split the elements exactly as
-    the vectors do. The vectors start as (|up|, |down|, lower covers, upper
-    covers); a round replaces an element's vector by (its rank, the sorted
-    ranks of its strict lower elements, the sorted ranks of its strict upper
-    elements). There are at most two rounds, stopping before a round that
-    would split no class.
+    A rank is the index of the element's invariant among the sorted
+    distinct invariants, so the ranks order and split the elements exactly
+    as the invariants do. The invariants start as the packed base vectors
+    of p.tables, (|up|, |down|, lower covers, upper covers); a round
+    replaces an element's invariant by (its rank, -K_dn, -K_up), where K
+    sums W^(c-1-r) over the ranks r of its strict lower (upper) elements,
+    c is the number of classes and W = 2^bitlength(n). There are at most
+    two rounds, stopping before a round that would split no class.
+
+    K reads the multiset of neighbour ranks as base-W digits (counts < W),
+    most weight on rank 0. Elements of one class share |up| and |down|, so
+    their sorted neighbour-rank tuples have one length, and of two such
+    tuples the smaller holds more of the first rank where they differ: it
+    has the larger K. So (rank, -K_dn, -K_up) orders and splits the
+    elements exactly as (rank, sorted lower ranks, sorted upper ranks).
 
     Twins (elements with the same strict up-set and strict down-set, their
     twin key) are swapped by an automorphism, so they share every rank, and
@@ -203,54 +275,34 @@ def _refined_invariants(p):
     order lists the elements by (rank, index), and the twin keys are None.
     """
     n = p.n
-    up = p.up
-    strict_up = [up[i] & ~(1 << i) for i in range(n)]
-    above = []
-    strict_dn = [0] * n
-    cover_up = [0] * n
-    cover_dn = [0] * n
-    for i in range(n):
-        members = []
-        bit = 1 << i
-        reach = 0   # elements strictly above some strict upper bound of i
-        m = strict_up[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(j)
-            strict_dn[j] |= bit
-            reach |= strict_up[j]
-        above.append(members)
-        covers = strict_up[i] & ~reach
-        cover_up[i] = covers.bit_count()
-        for j in members:
-            if covers >> j & 1:
-                cover_dn[j] += 1
-    inv, classes = _dense_ranks([
-        (len(above[i]) + 1, strict_dn[i].bit_count() + 1, cover_dn[i], cover_up[i])
-        for i in range(n)])
-    twins = list(zip(strict_up, strict_dn))
-    twin_classes = len(set(twins))
+    strict_up, above, strict_dn, base = p.tables
+    inv, classes = _dense_ranks(base)
+    if classes == n:
+        return inv, above, None
+    twin_classes = len(set(zip(strict_up, strict_dn)))
     if classes == twin_classes:
         return inv, above, None
-    below = [[] for _ in range(n)]
-    for i in range(n):
-        for j in above[i]:
-            below[j].append(i)
-    # a refined vector starts with the previous rank, so a round only splits
-    # classes and keeps their order; after a round that splits none, every
-    # later round splits none either
+    digit = n.bit_length()
+    # a refined invariant starts with the previous rank, so a round only
+    # splits classes and keeps their order; after a round that splits none,
+    # every later round splits none either
     for _ in range(2):
-        rank = inv.__getitem__
-        refined, split = _dense_ranks([
-            (inv[i], tuple(sorted(map(rank, below[i]))), tuple(sorted(map(rank, above[i]))))
-            for i in range(n)])
+        weight = [1 << digit * r for r in range(classes - 1, -1, -1)]
+        wt = list(map(weight.__getitem__, inv))   # each element's weight
+        k_dn = [0] * n
+        for i, members in enumerate(above):
+            w = wt[i]
+            for j in members:
+                k_dn[j] -= w
+        refined, split = _dense_ranks(
+            [(r, d, -sum(map(wt.__getitem__, members)))
+             for r, d, members in zip(inv, k_dn, above)])
         if split == classes:
             break
         inv, classes = refined, split
         if classes == twin_classes:
             return inv, above, None
-    return inv, above, twins
+    return inv, above, list(zip(strict_up, strict_dn))
 
 
 def poset_from_code(code):
@@ -351,10 +403,8 @@ def canonical_form(p):
         col[old] = 1 << (n - 1 - new)
     bits = 0
     for old in perm:
-        row = col[old]
-        for j in above[old]:
-            row |= col[j]
-        bits = bits << n | row
+        # the columns are distinct bits, so their sum is their union
+        bits = bits << n | sum(map(col.__getitem__, above[old]), col[old])
     size = (n * n + 7) // 8
     code = bytes([n]) + (bits << (8 * size - n * n)).to_bytes(size, "big")
     return CanonicalForm(code=code, perm=tuple(perm))

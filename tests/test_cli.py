@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,18 @@ def test_input_nested_past_recursion_limit_exits_2(capsys, tmp_path):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100000 + "]" * 100000)
     _assert_not_json(capsys, f)
+
+
+def test_wide_cover_file_is_refused_fast(capsys, tmp_path):
+    # 4,000 labels and no covers: the order's axioms are checked on the
+    # covers, not on all 16 million pairs, before the missing join is found
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps({"labels": [str(i) for i in range(4000)], "covers": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--input", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: covers: no least upper bound for elements (0, 1)\n")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from _oracles import are_isomorphic, relabel
 
 from subsemi.catalog import build_named, catalog_ids, chain, glued_sum
-from subsemi.enumeration import _upclosed_extensions
+from subsemi.enumeration import _upclosed_extensions, random_semilattice
 from subsemi.errors import JoinMissingError, PosetAxiomError, SizeLimitError
 from subsemi.order import (
     Poset,
@@ -24,6 +25,13 @@ def test_validate_reports_antisymmetry_witness():
         Poset.from_covers(2, [(0, 1), (1, 0)])
     assert exc.value.axiom == "antisymmetry"
     assert set(exc.value.witness) == {0, 1}
+
+
+def test_antisymmetry_witness_is_the_least_pair():
+    # the cycle 1 < 3 < 2 < 1 is found on a cover, and the witness is still
+    # the least i, then the least j, over all pairs
+    with pytest.raises(PosetAxiomError, match=r"antisymmetry violated at \(1, 2\)"):
+        Poset.from_covers(5, [(0, 4), (3, 2), (2, 1), (1, 3)])
 
 
 def _join(sl):
@@ -145,7 +153,7 @@ def test_code_decodes_to_the_canonical_poset(enumerated):
     # every generated candidate, plus K_13 (an antichain of 13 below a top)
     # and a 40-chain, whose rows are longer than a byte
     posets = _generated_candidates(enumerated)
-    posets.append(Poset(tuple((1 << i) | (1 << 13) for i in range(13)) + (1 << 13,)))
+    posets.append(_star(13))
     posets.append(chain(40))
     for p in posets:
         cf = canonical_form(p)
@@ -153,15 +161,14 @@ def test_code_decodes_to_the_canonical_poset(enumerated):
 
 
 def _base_invariants(p):
-    """Per-element (|up|, |down|, lower covers, upper covers), covers from
-    Poset.covers."""
+    """Per-element (|up|, |down|, lower covers, upper covers), every count
+    read from p.le over all pairs."""
     n = p.n
-    cover_up = [0] * n
-    cover_dn = [0] * n
-    for i, j in p.covers:
-        cover_up[i] += 1
-        cover_dn[j] += 1
-    return [(bin(p.up[i]).count("1"), bin(p.down[i]).count("1"), cover_dn[i], cover_up[i])
+    strictly = [[i != j and p.le(i, j) for j in range(n)] for i in range(n)]
+    covers = [[strictly[i][j] and not any(strictly[i][k] and strictly[k][j] for k in range(n))
+               for j in range(n)] for i in range(n)]
+    return [(sum(strictly[i]) + 1, sum(row[i] for row in strictly) + 1,
+             sum(row[i] for row in covers), sum(covers[i]))
             for i in range(n)]
 
 
@@ -170,8 +177,8 @@ def _refine(p, inv):
     n = p.n
     nxt = []
     for i in range(n):
-        below = sorted(inv[j] for j in range(n) if j != i and p.down[i] >> j & 1)
-        above = sorted(inv[j] for j in range(n) if j != i and p.up[i] >> j & 1)
+        below = sorted(inv[j] for j in range(n) if j != i and p.le(j, i))
+        above = sorted(inv[j] for j in range(n) if j != i and p.le(i, j))
         nxt.append((inv[i], tuple(below), tuple(above)))
     return nxt
 
@@ -205,6 +212,40 @@ def _ordered_partition(inv):
     return order, [t for t in range(1, len(order)) if inv[order[t]] != inv[order[t - 1]]]
 
 
+def _star(m):
+    """K_m: an m-antichain below a top."""
+    return Poset(tuple((1 << i) | (1 << m) for i in range(m)) + (1 << m,))
+
+
+def _unequal_neighbours():
+    """Elements 1 and 2 below a top 0 share their base vector. 1 covers five
+    elements with four below each; 2 covers one minimal element 3 and four
+    with five below each. So 2's sorted lower ranks are the smaller, but 1
+    holds 5 lower elements of one rank, and rank weights in a base W <= 4
+    carry into the next digit and tie the two."""
+    covers = [(1, 0), (2, 0), (3, 2)]
+    n = 4
+    for parent, below in [(1, 4), (2, 5)] * 4 + [(1, 4)]:
+        covers += [(n, parent)] + [(n + 1 + k, n) for k in range(below)]
+        n += 1 + below
+    return Poset.from_covers(n, covers)
+
+
+def _large_posets():
+    """40 seeded random semilattices with 17 to 40 elements, each relabelled
+    at random, a 40-chain, K_13 and _unequal_neighbours: past n = 16 the byte
+    fields of the base vectors hold n > 16, and the rank weights pass 64
+    bits."""
+    rng = random.Random(2031)
+    posets = []
+    for k in range(40):
+        sl = random_semilattice(rng, 17 + k % 24)
+        perm = list(range(sl.n))
+        rng.shuffle(perm)
+        posets.append(relabel(sl, perm))
+    return posets + [chain(40), _star(13), _unequal_neighbours()]
+
+
 def _invariant_test_posets(enumerated):
     structures = [build_named(id_).structure for id_ in catalog_ids()]
     # the case table's partial algebras have no order to take invariants of
@@ -222,18 +263,50 @@ def _twin_keys(p):
 
 
 def test_refined_invariants_match_reference(enumerated):
-    searched = 0
-    for p in _invariant_test_posets(enumerated):
+    searched = refined_large = 0
+    for p in _invariant_test_posets(enumerated) + _large_posets():
+        base = _base_invariants(p)
+        # one byte per field, first field highest
+        assert [tuple(b >> s & 255 for s in (24, 16, 8, 0)) for b in p.tables[3]] == base
         ranks, above, twins = _refined_invariants(p)
-        assert ranks == _dense_ranks(_reference_invariants(p))
+        reference = _reference_invariants(p)
+        assert ranks == _dense_ranks(reference)
+        refined_large += p.n > 16 and reference != base
         # the strict up-sets in ascending order pack the code's rows
-        assert above == [[j for j in range(p.n) if j != i and p.le(i, j)]
-                         for i in range(p.n)]
+        assert list(above) == [[j for j in range(p.n) if j != i and p.le(i, j)]
+                               for i in range(p.n)]
         # twin keys are returned exactly when some class holds two twin classes
         keys = _twin_keys(p)
         assert twins == (keys if len(set(keys)) > len(set(ranks)) else None)
         searched += twins is not None
-    assert searched > 0
+    assert searched > 0 and refined_large > 0
+
+
+def test_child_tables_derive_from_the_parent(enumerated):
+    # every extension of every parent with n <= 7, kept by the twin and key
+    # tests or not: the tables derived from the parent's are the child's own,
+    # and so is its canonical form
+    for pn in range(1, 8):
+        for parent in enumerated(pn).structures:
+            for u in _upclosed_extensions(parent.up):
+                child = parent.with_minimal(u)
+                walked = Poset(parent.up + (u | 1 << pn,))
+                assert child == walked
+                assert child.tables == walked.tables
+                assert canonical_form(child) == canonical_form(walked)
+
+
+def test_canonical_perms_digest(enumerated):
+    # catalog, the figures and relabel read perms, so perms are pinned as
+    # well as codes: every candidate generation meets at n <= 8
+    digest = hashlib.sha256()
+    candidates = _generated_candidates(enumerated)
+    for p in candidates:
+        cf = canonical_form(p)
+        digest.update(cf.code + bytes(cf.perm))
+    assert len(candidates) == 3555
+    assert digest.hexdigest() == (
+        "e243c8e1d697589bc69d6d018be5b9047bbb233ebb95a363b00b9d3a9592f34d")
 
 
 def _searched_perm(p):
@@ -300,7 +373,7 @@ def test_canonical_form_of_twins_is_fast():
     rng = random.Random(13)
     start = time.perf_counter()
     for m in range(2, 14):
-        star = Poset(tuple((1 << i) | (1 << m) for i in range(m)) + (1 << m,))
+        star = _star(m)
         perm = list(range(m + 1))
         rng.shuffle(perm)
         assert canonical_form(relabel(star, perm)).code == canonical_form(star).code
