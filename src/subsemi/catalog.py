@@ -12,24 +12,19 @@ reading does not (see the README notes on interpretation).
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from subsemi.counting import (
-    BRUTE_MAX_N,
     PartialBinaryAlgebra,
+    check_brute_size,
     count_subuniverses_bruteforce,
     sigma_value,
     split_parts,
 )
-from subsemi.errors import (
-    NoMatchError,
-    NoUniqueBottomError,
-    SizeLimitError,
-    UnknownStructureError,
-)
-from subsemi.order import JoinSemilattice, Poset, canonical_form, to_semilattice
+from subsemi.errors import NoMatchError, NoUniqueBottomError, UnknownStructureError
+from subsemi.order import Poset, canonical_form, to_semilattice
 
 
 def chain(m):
@@ -113,17 +108,19 @@ def case_partial_algebra(names, edges, named_joins):
     return PartialBinaryAlgebra(n, triples)
 
 
-@dataclass(frozen=True)
-class NamedStructure:
-    """A catalog entry with its expected relative count and provenance."""
+class NamedStructure(namedtuple(
+        "NamedStructure",
+        "id structure labels expected_sigma5 reported_sigma5 provenance tolerance",
+        defaults=(Fraction(0),))):
+    """A catalog entry with its expected relative count and provenance.
 
-    id: str
-    structure: object                 # JoinSemilattice or PartialBinaryAlgebra
-    labels: tuple
-    expected_sigma5: Fraction         # derived value, authoritative
-    reported_sigma5: tuple            # reference values; >1 entry = contradiction
-    provenance: str
-    tolerance: Fraction = Fraction(0)  # 0 for exact reports, 1/10 for rounded ones
+    structure: a JoinSemilattice or a PartialBinaryAlgebra;
+    expected_sigma5: the derived value, authoritative;
+    reported_sigma5: the reference values; more than one is a contradiction;
+    tolerance: 0 for exact reports, 1/10 for rounded ones.
+    """
+
+    __slots__ = ()
 
 
 # (covers, labels, expected count, reported sigma values, provenance)
@@ -196,9 +193,8 @@ def catalog_ids():
 def build_named(id_):
     """Construct a catalog structure together with its expected value."""
     k = int(id_[1:]) if re.fullmatch(r"C[1-9]\d*", id_) else 0
-    if k > BRUTE_MAX_N:
-        # no command can count a longer chain, and its up-sets take k^2 bits
-        raise SizeLimitError(f"brute force limited to n <= {BRUTE_MAX_N}, got {k}")
+    # no command can count a longer chain, and its up-sets take k^2 bits
+    check_brute_size(k)
     if k >= 1:
         sl = chain(k)
         return NamedStructure(
@@ -245,10 +241,11 @@ def build_named(id_):
 # -- reconstruction of the figure-only structures ------------------------
 
 
-@dataclass(frozen=True)
-class ReconstructionMatch:
-    structure: JoinSemilattice
-    parts: tuple  # (avoiding, containing disjoint, containing meeting)
+class ReconstructionMatch(namedtuple("ReconstructionMatch", "structure parts")):
+    """A JoinSemilattice that matches a figure target, with its parts
+    (avoiding, containing disjoint, containing meeting)."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

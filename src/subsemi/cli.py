@@ -9,15 +9,13 @@ never loads the process-pool modules.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
-from subsemi.counting import DEFAULT_K, count_subuniverses_checked
+from subsemi.counting import DEFAULT_K, check_brute_size, count_subuniverses_checked
 from subsemi.errors import (
     ConfigError,
     FormatError,
@@ -88,15 +86,17 @@ def _write_json(data, out=None):
     out.write("\n")
 
 
-def _resolve_input(args):
-    """(structure, labels) from --named or --input."""
+def _resolve_input(args, check_n=None):
+    """(structure, labels) from --named or --input; check_n, when given, is
+    called with the number of elements of an --input structure before the
+    structure is built."""
     if getattr(args, "named", None):
         from subsemi import catalog
         ns = catalog.build_named(args.named)
         return ns.structure, ns.labels
     if getattr(args, "input", None):
         from subsemi.jsonio import load_structure
-        return load_structure(args.input)
+        return load_structure(args.input, check_n)
     raise FormatError("one of --named or --input is required")
 
 
@@ -104,7 +104,8 @@ def cmd_count(args):
     """`count` and `sigma`: the checked count, printed as JSON, except that
     `sigma` prints the bare relative count unless --json is given."""
     from subsemi.jsonio import count_report_to_dict
-    structure, _ = _resolve_input(args)
+    # a structure too large to count is refused before its order is built
+    structure, _ = _resolve_input(args, check_brute_size)
     report = count_subuniverses_checked(structure, args.k)
     if args.json or args.command == "count":
         _write_json(count_report_to_dict(report))
@@ -129,6 +130,7 @@ def cmd_catalog(args):
     if args.json:
         _write_json(rows)
     elif args.csv:
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "n", "kind", "expected_sigma5",
                          "reported_sigma5", "provenance"])
@@ -153,6 +155,8 @@ def _writing_out(path):
 
 
 def cmd_enumerate(args):
+    from pathlib import Path
+
     from subsemi.enumeration import enumerate_semilattices
     from subsemi.jsonio import structure_to_dict
     outdir = Path(args.out) if args.out else None
@@ -194,6 +198,7 @@ def cmd_rank(args):
     if args.json:
         _write_json(verifier.ranking_to_dict(report))
     elif args.csv:
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(["rank", "count", "witnesses"])
         for i, v in enumerate(report.values, start=1):
@@ -264,6 +269,8 @@ def cmd_verify_lemmas(args):
 
 
 def cmd_export_dot(args):
+    from pathlib import Path
+
     from subsemi import catalog
     from subsemi.jsonio import load_structure, structure_to_dot
     try:

@@ -9,7 +9,7 @@ check_split_agrees, when they disagree. Relative counts sigma_k are exact
 dyadic rationals throughout.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from subsemi import kernel
@@ -20,17 +20,16 @@ ENUM_MAX_N = 20
 DEFAULT_K = 5
 
 
-@dataclass(frozen=True)
 class PartialBinaryAlgebra:
     """n elements with a join defined only on selected pairs.
 
     defined_joins holds (i, j, k) triples with i < j meaning i v j = k.
     No associativity or order axioms are imposed; the structures from
-    case analyses are plain constraint systems.
+    case analyses are plain constraint systems. An instance is immutable,
+    and equal to another exactly when both fields are.
     """
 
-    n: int
-    defined_joins: tuple
+    __slots__ = ("n", "defined_joins")
 
     def __init__(self, n, defined_joins):
         if n < 1:
@@ -50,6 +49,27 @@ class PartialBinaryAlgebra:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "defined_joins", tuple(sorted(triples)))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.defined_joins) == (other.n, other.defined_joins)
+
+    def __hash__(self):
+        return hash((self.n, self.defined_joins))
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(n={self.n!r}, "
+                f"defined_joins={self.defined_joins!r})")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.defined_joins)
+
     def closure_constraints(self):
         return [
             ((1 << i) | (1 << j), 1 << k)
@@ -58,13 +78,10 @@ class PartialBinaryAlgebra:
         ]
 
 
-@dataclass(frozen=True)
-class SubuniverseReport:
+class SubuniverseReport(namedtuple("SubuniverseReport", "count k n")):
     """Exact |Sub(.)| plus the relative count sigma_k = count * 2^(k-n)."""
 
-    count: int
-    k: int
-    n: int
+    __slots__ = ()
 
     @property
     def sigma(self):
@@ -76,6 +93,13 @@ def sigma_value(count, n, k=DEFAULT_K):
     if k >= n:
         return Fraction(count << (k - n))
     return Fraction(count, 1 << (n - k))
+
+
+def check_brute_size(n):
+    """Raise SizeLimitError unless brute force can count n elements; a caller
+    that knows n before it builds a structure checks it here first."""
+    if n > BRUTE_MAX_N:
+        raise SizeLimitError(f"brute force limited to n <= {BRUTE_MAX_N}, got {n}")
 
 
 def count_subuniverses_bruteforce(a, k=DEFAULT_K):

@@ -33,8 +33,7 @@ per new join, on labels that put the elements in the most clauses first.
 """
 
 from contextlib import nullcontext
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from subsemi import kernel
 from subsemi.counting import check_split_agrees, count_subuniverses_checked
@@ -42,17 +41,56 @@ from subsemi.errors import SizeLimitError
 from subsemi.order import Poset, canonical_form, poset_from_code, to_semilattice
 
 
-@dataclass(frozen=True)
 class EnumerationRun:
-    n: int
-    stats: dict         # candidates generated, key-tested or not; duplicates rejected
-    codes: tuple        # canonical code of each structure, strictly ascending
-    counts: tuple = None  # |Sub| of each structure, in code order, when counted
+    """Level n of a run. It is immutable, and equal to another run exactly
+    when their four fields are equal:
 
-    @cached_property
+    n: the size;
+    stats: candidates generated, key-tested or not; duplicates rejected;
+    codes: the canonical code of each structure, strictly ascending;
+    counts: |Sub| of each structure, in code order, when counted, else None.
+    """
+
+    __slots__ = ("n", "stats", "codes", "counts", "_structures")
+
+    def __init__(self, n, stats, codes, counts=None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_structures", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return self.n, self.stats, self.codes, self.counts
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(n={self.n!r}, stats={self.stats!r}, "
+                f"codes={self.codes!r}, counts={self.counts!r})")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    @property
     def structures(self):
         """The semilattice each code encodes, in code order, built on first use."""
-        return tuple(to_semilattice(poset_from_code(code)) for code in self.codes)
+        if self._structures is None:
+            object.__setattr__(self, "_structures", tuple(
+                to_semilattice(poset_from_code(code)) for code in self.codes))
+        return self._structures
 
 
 def process_pool(workers):

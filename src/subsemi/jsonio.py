@@ -13,12 +13,15 @@ from subsemi.errors import FormatError, SubsemiError
 from subsemi.order import JoinSemilattice, Poset, to_semilattice
 
 
-# A join-format n is a bare number in the file, and the parser builds one
-# label per element; the bound keeps a stated n from exhausting memory.
-MAX_JOIN_N = 1 << 16
+# The most elements a structure file may hold, in either format. A join-format
+# n is a bare number in the file, and the parser builds one label per element;
+# the bound keeps a stated n, or a long label list, from exhausting memory.
+MAX_N = 1 << 16
 
 
 def _resolve(entry, labels, field):
+    """The element an entry names: an index, or a label looked up in labels,
+    the dict _labels returns (None when no labels are given)."""
     if isinstance(entry, int) and not isinstance(entry, bool):
         if labels is not None and not 0 <= entry < len(labels):
             raise FormatError(f"{field}: index {entry} out of range")
@@ -26,22 +29,25 @@ def _resolve(entry, labels, field):
     if labels is None:
         raise FormatError(f"{field}: label {entry!r} used but no labels given")
     try:
-        return labels.index(entry)
-    except ValueError:
+        return labels[entry]
+    except (KeyError, TypeError):   # TypeError: a list or an object is no key
         raise FormatError(f"{field}: unknown label {entry!r}") from None
 
 
 def _labels(data):
-    """The labels as distinct strings, or None when the field is absent."""
+    """The dict from each label, as a string, to its element, in label
+    order, or None when the field is absent."""
     labels = data.get("labels")
     if labels is None:
         return None
     if not isinstance(labels, (list, tuple)) or not labels:
         raise FormatError("labels: expected a nonempty list")
-    labels = [str(x) for x in labels]
-    if len(set(labels)) != len(labels):
+    if len(labels) > MAX_N:
+        raise FormatError(f"labels: expected at most {MAX_N}, got {len(labels)}")
+    index = {str(x): i for i, x in enumerate(labels)}
+    if len(index) != len(labels):
         raise FormatError("labels: duplicate label")
-    return labels
+    return index
 
 
 def _entries(data, field, size, shape):
@@ -55,14 +61,18 @@ def _entries(data, field, size, shape):
         yield idx, entry
 
 
-def structure_from_dict(data):
-    """Parse a structure dict; returns (structure, labels)."""
+def structure_from_dict(data, check_n=None):
+    """Parse a structure dict; returns (structure, labels). check_n, when
+    given, is called with the number of elements once it is known, before
+    any entry is read: it may refuse the structure by raising."""
     if not isinstance(data, dict):
         raise FormatError("top level: expected an object")
     if "covers" in data:
         labels = _labels(data)
         if labels is None:
             raise FormatError("labels: required nonempty list for cover format")
+        if check_n is not None:
+            check_n(len(labels))
         covers = [(_resolve(lo, labels, f"covers[{idx}][0]"),
                    _resolve(hi, labels, f"covers[{idx}][1]"))
                   for idx, (lo, hi) in _entries(data, "covers", 2, "[lower, upper]")]
@@ -74,10 +84,12 @@ def structure_from_dict(data):
     if "joins" in data:
         labels = _labels(data)
         n = data.get("n", None if labels is None else len(labels))
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_JOIN_N:
-            raise FormatError(f"n: required integer from 1 to {MAX_JOIN_N} for join format")
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+            raise FormatError(f"n: required integer from 1 to {MAX_N} for join format")
         if labels is not None and n != len(labels):
             raise FormatError(f"n: {n} differs from the number of labels, {len(labels)}")
+        if check_n is not None:
+            check_n(n)
         joins = [tuple(_resolve(x, labels, f"joins[{idx}][{t}]")
                        for t, x in enumerate(triple))
                  for idx, triple in _entries(data, "joins", 3, "[i, j, k]")]
@@ -89,7 +101,9 @@ def structure_from_dict(data):
     raise FormatError("top level: expected a 'covers' or 'joins' field")
 
 
-def load_structure(path):
+def load_structure(path, check_n=None):
+    """Read a structure file; returns (structure, labels). check_n is as for
+    structure_from_dict."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -98,7 +112,7 @@ def load_structure(path):
     # bytes that are not UTF-8, or arrays nested past the recursion limit
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
-    return structure_from_dict(data)
+    return structure_from_dict(data, check_n)
 
 
 def structure_to_dict(structure, labels=None):

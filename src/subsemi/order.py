@@ -5,7 +5,7 @@ upper-bound intersection is a single AND. All structures are immutable
 after construction and safe to share across workers.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import groupby
 
@@ -27,24 +27,42 @@ class Poset:
 
     @classmethod
     def from_covers(cls, n, covers):
-        """Build from Hasse edges (lower, upper); order is the transitive closure."""
+        """Build from Hasse edges (lower, upper); order is the transitive closure.
+
+        The up-sets are closed in one pass, from the top down: each element's
+        up-set is final once those of all its upper covers are (Kahn's
+        topological order), so the pass costs one OR per cover. Elements
+        the pass never reaches lie on or below a cycle of covers; they are
+        closed by repeated passes, and the least pair (i, j) of distinct
+        elements below each other is the antisymmetry witness.
+        """
         up = [1 << i for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for a, b in covers:
-                merged = up[a] | up[b]
-                if merged != up[a]:
-                    up[a] = merged
-                    changed = True
-        # two distinct elements below each other close a cycle of covers, and
-        # every cover (a, b) on it has a above b; only then are all pairs
-        # scanned, for the least witness (i, j)
-        if any(a != b and up[b] >> a & 1 for a, b in covers):
-            for i in range(n):
-                for j in range(n):
-                    if i != j and up[i] >> j & 1 and up[j] >> i & 1:
-                        raise PosetAxiomError("antisymmetry", (i, j))
+        lower = [[] for _ in range(n)]   # lower[b]: the a of each cover (a, b)
+        pending = [0] * n                # covers (a, b) whose b is not final
+        for a, b in covers:
+            if a != b:
+                lower[b].append(a)
+                pending[a] += 1
+        final = [b for b in range(n) if not pending[b]]
+        for b in final:   # the list grows while it is walked
+            for a in lower[b]:
+                up[a] |= up[b]
+                pending[a] -= 1
+                if not pending[a]:
+                    final.append(a)
+        if len(final) < n:
+            rest = sorted(set(range(n)).difference(final))
+            cycle_covers = [(a, b) for b in rest for a in lower[b]]
+            changed = True
+            while changed:
+                changed = False
+                for a, b in cycle_covers:
+                    if up[b] & ~up[a]:
+                        up[a] |= up[b]
+                        changed = True
+            raise PosetAxiomError("antisymmetry", next(
+                (i, j) for i in rest for j in rest
+                if i != j and up[i] >> j & 1 and up[j] >> i & 1))
         return cls(up)
 
     # -- basic queries -------------------------------------------------
@@ -228,8 +246,7 @@ def to_semilattice(p):
 # -- canonical forms ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "code perm")):
     """Permutation-minimal encoding of the order relation.
 
     code: n as one byte, then the permuted le matrix packed row-major;
@@ -237,8 +254,7 @@ class CanonicalForm:
     perm: perm[new_index] = original element achieving the code.
     """
 
-    code: bytes
-    perm: tuple
+    __slots__ = ()
 
 
 def _dense_ranks(vectors):

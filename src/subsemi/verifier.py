@@ -9,8 +9,7 @@ verify_lemmas() evaluates every catalog entry against its reported value and
 property-tests the bound, monotonicity, and chain-invariance lemmas.
 """
 
-import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from subsemi import analysis, catalog
@@ -30,29 +29,24 @@ LEMMA_SEED = 20260811
 LEMMA_INSTANCES = 120
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    n: int
-    values: tuple          # distinct counts, descending
-    witnesses: dict        # count -> tuple of canonical code hex strings
-    family_check: tuple    # ClaimCheck for the three ranked claims
+class RankingReport(namedtuple("RankingReport", "n values witnesses family_check")):
+    """values: the distinct counts, descending; witnesses: count -> tuple of
+    canonical code hex strings; family_check: a ClaimCheck for each of the
+    three ranked claims."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
-    claim: str             # "i" | "ii" | "iii"
-    n: int
-    expected_rank: int     # 4 | 5 | 6
-    expected_sigma: Fraction
-    status: str            # "verified" | "failed" | "size-infeasible"
-    expected_count: int = None
-    value_present: bool = False
-    value_at_rank: bool = False
-    count_at_rank: int = None
-    witnesses_equal_family: bool = False
-    extra_witnesses: tuple = ()
-    missing_witnesses: tuple = ()
-    notes: str = ""
+class ClaimCheck(namedtuple(
+        "ClaimCheck",
+        "claim n expected_rank expected_sigma status expected_count value_present "
+        "value_at_rank count_at_rank witnesses_equal_family extra_witnesses "
+        "missing_witnesses notes",
+        defaults=(None, False, False, None, False, (), (), ""))):
+    """claim: "i" | "ii" | "iii"; expected_rank: 4 | 5 | 6; status:
+    "verified" | "failed" | "size-infeasible"."""
+
+    __slots__ = ()
 
 
 def _rank_data(n, workers=1):
@@ -126,11 +120,10 @@ def rank(n, workers=1):
                          family_check=tuple(checks))
 
 
-@dataclass(frozen=True)
-class TheoremVerification:
-    n: int
-    claims: tuple
-    top3: tuple            # ((count, expected count, matches) for ranks 1..3)
+class TheoremVerification(namedtuple("TheoremVerification", "n claims top3")):
+    """top3: (count, expected count, matches) for ranks 1..3."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self):
@@ -154,26 +147,20 @@ def verify_theorem(n, workers=1):
 # -- lemma and catalog value verification --------------------------------
 
 
-@dataclass(frozen=True)
-class DiscrepancyEntry:
-    location: str
-    reported_values: tuple     # reference values as Fractions
-    computed: Fraction
-    classification: str     # exact-match | rounding | contradiction
+class DiscrepancyEntry(namedtuple(
+        "DiscrepancyEntry", "location reported_values computed classification")):
+    """reported_values: the reference values as Fractions; classification:
+    exact-match | rounding | contradiction."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PropertyResult:
-    name: str
-    instances: int
-    violations: int
+class PropertyResult(namedtuple("PropertyResult", "name instances violations")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    entries: tuple
-    properties: tuple
-    notes: tuple
+class DiscrepancyReport(namedtuple("DiscrepancyReport", "entries properties notes")):
+    __slots__ = ()
 
     @property
     def all_passed(self):
@@ -192,6 +179,8 @@ def _classify(reported_values, computed, tolerance):
 
 
 def _lemma_properties():
+    # only verify-lemmas draws random structures, so only it loads random
+    import random
     rng = random.Random(LEMMA_SEED)
     results = []
 
@@ -265,7 +254,7 @@ def verify_lemmas():
 
 
 def claim_to_dict(c):
-    return {**asdict(c), "expected_sigma": str(c.expected_sigma)}
+    return {**c._asdict(), "expected_sigma": str(c.expected_sigma)}
 
 
 def ranking_to_dict(r):
@@ -291,13 +280,13 @@ def theorem_to_dict(t):
 def lemmas_to_dict(d):
     return {
         "entries": [
-            {**asdict(e),
+            {**e._asdict(),
              "reported_values": [str(v) for v in e.reported_values],
              "computed": str(e.computed),
              "computed_decimal": float(e.computed)}
             for e in d.entries
         ],
-        "properties": [asdict(p) for p in d.properties],
+        "properties": [p._asdict() for p in d.properties],
         "notes": list(d.notes),
         "all_passed": d.all_passed,
     }

@@ -11,7 +11,7 @@ import pytest
 from subsemi import catalog, cli, enumeration, verifier
 from subsemi.cli import main
 from subsemi.counting import BRUTE_MAX_N
-from subsemi.jsonio import structure_from_dict
+from subsemi.jsonio import MAX_N, structure_from_dict
 from subsemi.order import canonical_form
 
 H5_DOC = {"labels": ["a", "b", "c", "d", "1"],
@@ -102,14 +102,63 @@ def test_input_nested_past_recursion_limit_exits_2(capsys, tmp_path):
 
 def test_wide_cover_file_is_refused_fast(capsys, tmp_path):
     # 4,000 labels and no covers: the order's axioms are checked on the
-    # covers, not on all 16 million pairs, before the missing join is found
+    # covers, not on all 16 million pairs, before the missing join is found.
+    # `classify` builds the order of any size; `count` refuses 4,000 elements
+    # before it builds one
     f = tmp_path / "wide.json"
     f.write_text(json.dumps({"labels": [str(i) for i in range(4000)], "covers": []}))
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", "--input", str(f))
+    code, out, err = run(capsys, "classify", "--input", str(f))
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (
         2, "", "error: covers: no least upper bound for elements (0, 1)\n")
+
+
+def _chain_file(path, m):
+    """A cover file of the m-chain x0 < x1 < ... listed bottom-up."""
+    labels = [f"x{i}" for i in range(m)]
+    path.write_text(json.dumps({"labels": labels,
+                                "covers": [labels[i:i + 2] for i in range(m - 1)]}))
+    return path
+
+
+@pytest.mark.parametrize("command", ["count", "sigma"])
+def test_long_chain_is_refused_before_its_order_is_built(capsys, tmp_path, command):
+    # the label count alone exceeds what brute force can count, so neither
+    # the labels, the closure nor the joins of 8,000 elements are worked out
+    f = _chain_file(tmp_path / "chain.json", 8000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--input", str(f))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: brute force limited to n <= 25, got 8000\n")
+
+
+def test_long_chain_is_refused_before_its_order_is_built_under_O(run_optimized, tmp_path):
+    f = _chain_file(tmp_path / "chain.json", 8000)
+    start = time.perf_counter()
+    proc = run_optimized("import sys\n"
+                         "from subsemi.cli import main\n"
+                         f"sys.exit(main(['count', '--input', {str(f)!r}]))\n")
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: brute force limited to n <= 25, got 8000\n")
+
+
+@pytest.fixture(scope="module")
+def over_bound_chain(tmp_path_factory):
+    # 100,001 labels, past jsonio.MAX_N, listed as a chain: read in full,
+    # its joins alone would take quadratic time
+    return _chain_file(tmp_path_factory.mktemp("bound") / "chain.json", 100_001)
+
+
+@pytest.mark.parametrize("argv", [["count", "--input"], ["classify", "--input"],
+                                  ["export-dot"]])
+def test_cover_file_over_the_label_bound_is_refused_fast(capsys, over_bound_chain, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, str(over_bound_chain))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", f"error: labels: expected at most {MAX_N}, got 100001\n")
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -315,12 +315,15 @@ def test_monotonicity_random(rng):
 
 
 def test_partial_algebra_validation():
-    with pytest.raises(ValueError):
-        PartialBinaryAlgebra(3, [(0, 1, 2), (1, 0, 2)])   # duplicate pair
-    with pytest.raises(ValueError):
-        PartialBinaryAlgebra(3, [(0, 0, 1)])              # not a pair
-    with pytest.raises(ValueError):
-        PartialBinaryAlgebra(3, [(0, 1, 3)])              # out of range
+    for joins, message in [
+        ([(0, 1, 2), (1, 0, 2)], "pair (0, 1) defined twice"),
+        ([(0, 0, 1)], "join of (0, 0) is not a pair"),
+        ([(0, 1, 3)], "join (0, 1) -> 3 out of range for n=3"),
+        ([(2, -1, 0)], "join (2, -1) -> 0 out of range for n=3"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            PartialBinaryAlgebra(3, joins)
+        assert str(exc.value) == message
     pa = PartialBinaryAlgebra(3, [(1, 0, 2)])
     assert pa.defined_joins == ((0, 1, 2),)
 
@@ -332,8 +335,9 @@ def test_subset_iteration_is_ascending():
 
 
 def test_empty_structures_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         PartialBinaryAlgebra(0, [])
+    assert str(exc.value) == "partial algebras here are nonempty; n = 0 is rejected"
     from subsemi.order import Poset
     with pytest.raises(ValueError):
         Poset(())

@@ -34,6 +34,51 @@ def test_antisymmetry_witness_is_the_least_pair():
         Poset.from_covers(5, [(0, 4), (3, 2), (2, 1), (1, 3)])
 
 
+def _reachable(n, covers):
+    """Each element's up-set as a set, by a search from it over the covers."""
+    above = [set() for _ in range(n)]
+    for a, b in covers:
+        above[a].add(b)
+    out = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            for b in above[todo.pop()] - seen:
+                seen.add(b)
+                todo.append(b)
+        out.append(seen)
+    return out
+
+
+def test_from_covers_matches_a_search_over_the_covers():
+    # random cover lists, with repeats, self-loops and cycles: the up-sets
+    # are those a search finds, or the witness is the least pair i != j
+    # with each reachable from the other
+    rng = random.Random(48)
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        covers = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        reach = _reachable(n, covers)
+        cycle = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and j in reach[i] and i in reach[j]]
+        if cycle:
+            with pytest.raises(PosetAxiomError) as exc:
+                Poset.from_covers(n, covers)
+            assert exc.value.witness == cycle[0]
+        else:
+            assert Poset.from_covers(n, covers).up == tuple(
+                sum(1 << j for j in up) for up in reach)
+
+
+def test_long_chain_closes_in_one_pass():
+    # covers listed bottom-up: a closure by repeated passes over the covers
+    # would take one pass per chain step
+    start = time.perf_counter()
+    p = Poset.from_covers(8000, [(i, i + 1) for i in range(7999)])
+    assert time.perf_counter() - start < 1.0
+    assert p.up[0] == (1 << 8000) - 1 and p.up[4000] == p.up[0] >> 4000 << 4000
+
+
 def _join(sl):
     """The whole join operation of sl, from its nontrivial joins and its order."""
     listed = {(i, j): k for i, j, k in sl.nontrivial_joins}

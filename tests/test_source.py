@@ -19,6 +19,20 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    # records are namedtuples or __slots__ classes: dataclasses costs every
+    # cold start the import of inspect, and typing annotates nothing here.
+    # A check of sys.modules cannot see typing, which site may load first
+    found = []
+    for path, tree in _package_modules():
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
 def test_only_the_cli_reads_the_environment():
     # settings reach the library as arguments; only cli.py reads them
     readers = []

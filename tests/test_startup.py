@@ -25,6 +25,10 @@ PUBLIC = {
 
 POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 
+# dataclasses imports inspect, and inspect imports ast, dis and tokenize; no
+# command the audit starts needs any of them
+RECORD_MODULES = {"dataclasses", "inspect"}
+
 
 def _fresh(source):
     """The JSON that source prints as its last line, run in a new interpreter
@@ -92,6 +96,7 @@ def test_count_from_file_loads_no_enumeration(tmp_path):
     assert "subsemi.jsonio" in loaded
     assert loaded & {"subsemi.verifier", "subsemi.enumeration", "subsemi.analysis",
                      "concurrent.futures"} == set()
+    assert loaded & RECORD_MODULES == set()
 
 
 def test_named_count_loads_no_enumeration():
@@ -100,6 +105,7 @@ def test_named_count_loads_no_enumeration():
     assert code == 0
     assert "subsemi.catalog" in loaded
     assert "subsemi.enumeration" not in loaded
+    assert loaded & RECORD_MODULES == set()
 
 
 @pytest.mark.parametrize("workers, pooled", [("1", False), ("2", True)])
@@ -107,3 +113,11 @@ def test_only_a_pooled_run_loads_the_pool(workers, pooled):
     code, loaded = _loaded_by_command("verify-theorem", "--n", "5", "--workers", workers)
     assert code == 0
     assert loaded & POOL_MODULES == (POOL_MODULES if pooled else set())
+    assert loaded & RECORD_MODULES == set()
+
+
+def test_file_formats_load_no_dataclasses():
+    loaded = set(_fresh("import json, sys\nimport subsemi.jsonio\n"
+                        "print(json.dumps(sorted(sys.modules)))"))
+    assert "subsemi.order" in loaded and "subsemi.counting" in loaded
+    assert loaded & RECORD_MODULES == set()
